@@ -10,10 +10,14 @@ with continuous y, F(y) is uniform on [0,1] and the three moments reduce to
 unit-square integrals; for the power kernel |y-z|^gamma they evaluate in
 closed form (gamma = 1 gives 2/5, matching the classic rank correlation).
 Otherwise the moments are estimated from the sample by U-statistics over
-distinct index pairs and triples, computed in O(n^2) via row sums:
+distinct index pairs and triples, computed from the row sums of
+``kernels.kernel_row_sums``:
 
-    sum_{j != k != i} h_ij h_ik = S_i^2 - sum_{j != i} h_ij^2,
-    S_i = sum_{j != i} h_ij.
+    sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i,
+    S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
+
+in O(n log n) for the builtin power:1, power:2, exp and expsq kernels and
+in blocked O(n^2) otherwise.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -37,7 +41,7 @@ from .estimator import (
     xi_rank,
     xi_simplified,
 )
-from .kernels import Kernel, make_kernel
+from .kernels import Kernel, kernel_row_sums, make_kernel
 
 __all__ = [
     "VarianceEstimate",
@@ -103,27 +107,20 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
     With h_ij = h(F(y_i), F(y_j)) and coincident indices excluded:
         m = sum_{i != j} h_ij / (n(n-1))
         q = sum_{i != j} h_ij^2 / (n(n-1))
-        r = sum_i (S_i^2 - sum_{j != i} h_ij^2) / (n(n-1)(n-2))
-    all accumulated with exactly rounded summation, in O(n^2).
+        r = sum_i (S_i^2 - Q_i) / (n(n-1)(n-2))
+    with S_i and Q_i the row sums of h and h^2 over j != i
+    (``kernel_row_sums``), added across rows with exactly rounded summation.
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.size
     if n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance estimation, got {n}")
     u = np.asarray(dist.eval(ys), dtype=float)
-    row_sums = np.empty(n)
-    row_sq_sums = np.empty(n)
-    cross = np.empty(n)
-    for i in range(n):
-        row = np.asarray(kernel.eval(u[i], u), dtype=float)
-        row[i] = 0.0
-        row_sums[i] = math.fsum(row.tolist())
-        row_sq_sums[i] = math.fsum(np.square(row).tolist())
-        cross[i] = row_sums[i] ** 2 - row_sq_sums[i]
+    row_sums, row_sq_sums = kernel_row_sums(u, kernel, squares=True)
     pairs = n * (n - 1)
     m = math.fsum(row_sums.tolist()) / pairs
     q = math.fsum(row_sq_sums.tolist()) / pairs
-    r = math.fsum(cross.tolist()) / (pairs * (n - 2))
+    r = math.fsum((row_sums**2 - row_sq_sums).tolist()) / (pairs * (n - 2))
     if m == 0.0:
         raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sigma2 = (q - 2.0 * r + m * m) / (m * m)

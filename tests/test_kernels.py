@@ -99,6 +99,13 @@ def test_exp_closed_form_Ch():
     )
 
 
+def test_expsq_closed_form_Ch_matches_quadrature():
+    k = make_kernel("expsq")
+    assert k.closed_form_ch == (math.e**2 - 1.0) - 2.0 * (math.e - 1.0) ** 2
+    for tol in (1e-8, 1e-10):
+        assert abs(integrate_unit_square(k.eval, tol) - k.closed_form_ch) <= 1e-12
+
+
 def test_quadrature_cross_checks_power2():
     # closed form suppressed: integrate |u-v|^2 directly
     k = make_kernel("power", gamma=2.0)
