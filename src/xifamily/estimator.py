@@ -81,9 +81,8 @@ class PairedSample:
 
 @dataclass(frozen=True)
 class OrderedSample:
-    """Responses reordered so the paired x's are nondecreasing."""
+    """The permutation that makes the x's nondecreasing, and its tie seed."""
 
-    y_ordered: np.ndarray
     permutation: np.ndarray
     tie_seed: int
 
@@ -106,27 +105,42 @@ class CoefficientResult:
     tie_seed: int
 
 
+def _has_ties(sorted_values: np.ndarray) -> bool:
+    """Whether a sorted array holds two equal values (-0.0 equals 0.0)."""
+    return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
+
+
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> OrderedSample:
     """Sort pairs by x, breaking tied x's uniformly at random.
 
-    The tie-break draws one uniform key per observation from ``tie_seed``
-    and sorts lexicographically by (x, key), which shuffles each maximal
-    tied block uniformly. Deterministic given (sample, tie_seed); when the
-    x's are distinct the permutation does not depend on the seed.
+    One argsort orders the x's. Only tied x's run the tie-break: it draws
+    one uniform key per observation from ``tie_seed`` and sorts
+    lexicographically by (x, key), which shuffles each maximal tied block
+    uniformly. Distinct x's have a single sorting permutation, the one the
+    (x, key) sort returns for every seed. Deterministic given
+    (sample, tie_seed); O(n log n).
     """
-    keys = np.random.default_rng(tie_seed).random(sample.n)
-    perm = np.lexsort((keys, sample.xs))
-    return OrderedSample(
-        y_ordered=sample.ys[perm],
-        permutation=perm,
-        tie_seed=tie_seed,
-    )
+    xs = sample.xs
+    perm = np.argsort(xs)
+    if _has_ties(xs[perm]):
+        keys = np.random.default_rng(tie_seed).random(sample.n)
+        perm = np.lexsort((keys, xs))
+    return OrderedSample(permutation=perm, tie_seed=tie_seed)
 
 
 def ranks(ys) -> np.ndarray:
-    """Max-rank of each value: R_i = #{j : y_j <= y_i}, in O(n log n)."""
+    """Max-rank of each value: R_i = #{j : y_j <= y_i}.
+
+    One argsort, then a binary search of the sorted values for themselves
+    (in order, so it stays in cache): O(n log n). NaNs rank above every
+    number, all of them at the count of values.
+    """
     ys = np.asarray(ys, dtype=float)
-    return np.searchsorted(np.sort(ys), ys, side="right")
+    order = np.argsort(ys)
+    ordered = ys[order]
+    out = np.empty(ys.size, dtype=np.intp)
+    out[order] = np.searchsorted(ordered, ordered, side="right")
+    return out
 
 
 def _fsum(values: np.ndarray) -> float:
@@ -229,12 +243,11 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     The (n^2 - 1)/3 denominator assumes no ties among the x's; tied x's are
     rejected (use ``xi_rank`` there, which handles ties by construction).
     """
-    xs = sample.xs
-    if np.unique(xs).size != xs.size:
+    ordered = order_by_x(sample, tie_seed)
+    if _has_ties(sample.xs[ordered.permutation]):
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
-    ordered = order_by_x(sample, tie_seed)
     rank_gaps = np.abs(np.diff(ranks(sample.ys)[ordered.permutation]))
     gap_sum = _fsum(rank_gaps.astype(float))
     normalization = (sample.n**2 - 1) / 3.0
@@ -261,7 +274,7 @@ def pearson(sample: PairedSample) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks: each tied block gets the mean of the 1-based positions it spans."""
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     ordered = values[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     ends = np.r_[starts[1:], values.size]

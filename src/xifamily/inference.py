@@ -36,6 +36,7 @@ from .cdf import DistMap, empirical_map
 from .errors import DegenerateDataError, NumericError
 from .estimator import (
     PairedSample,
+    _has_ties,
     chatterjee_reference,
     xi_plugin,
     xi_rank,
@@ -167,7 +168,7 @@ def independence_test(
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    if continuous_y and np.unique(sample.ys).size < sample.n:
+    if continuous_y and _has_ties(np.sort(sample.ys)):
         warnings.warn(
             "duplicate y values in data declared continuous; "
             "the closed-form null variance may not apply",

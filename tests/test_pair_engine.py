@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
@@ -178,6 +178,7 @@ def test_exp_row_sums_for_steep_kernels():
         max_size=80,
     )
 )
+@example([-0.0 if i % 7 == 0 else float(i % 5) for i in range(300)])
 @settings(max_examples=200, deadline=None)
 def test_average_ranks_equal_scipy_bitwise(values):
     values = np.asarray(values, dtype=float)
