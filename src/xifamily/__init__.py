@@ -19,10 +19,11 @@ from .cdf import (
 )
 from .errors import DegenerateDataError, NumericError, QuadratureError, XiFamilyError
 from .estimator import (
+    VARIANTS,
     CoefficientResult,
-    OrderedSample,
     PairedSample,
     chatterjee_reference,
+    coefficient,
     order_by_x,
     pearson,
     ranks,
@@ -71,16 +72,17 @@ __all__ = [
     "MethodConfig",
     "ModelSpec",
     "NumericError",
-    "OrderedSample",
     "PairedSample",
     "PopulationLimit",
     "QuadratureError",
     "RepSummary",
     "SIGMA_INF",
+    "VARIANTS",
     "TestResult",
     "VarianceEstimate",
     "XiFamilyError",
     "chatterjee_reference",
+    "coefficient",
     "custom_kernel",
     "empirical_map",
     "fit_normal_map",

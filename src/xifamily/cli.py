@@ -19,13 +19,7 @@ import numpy as np
 
 from .cdf import resolve_dist_spec
 from .errors import DegenerateDataError, NumericError, QuadratureError
-from .estimator import (
-    PairedSample,
-    chatterjee_reference,
-    xi_plugin,
-    xi_rank,
-    xi_simplified,
-)
+from .estimator import VARIANTS, PairedSample, coefficient
 from .inference import independence_test
 from .kernels import parse_kernel_spec
 from .simulate import (
@@ -34,6 +28,7 @@ from .simulate import (
     iter_replicates,
     parse_method_spec,
     parse_sigma,
+    rep_seed,
     replicate,
 )
 
@@ -90,23 +85,16 @@ def _open_out(path):
             yield fh
 
 
-def _coefficient(sample, variant, kernel, f_spec, tie_seed):
-    if variant == "plugin":
-        return xi_plugin(sample, kernel, resolve_dist_spec(f_spec, sample.ys), tie_seed)
-    if variant == "rank":
-        return xi_rank(sample, kernel, tie_seed)
-    if variant == "simplified":
-        return xi_simplified(sample, kernel, tie_seed)
-    if variant == "chatterjee":
-        return chatterjee_reference(sample, tie_seed)
-    raise ValueError(f"unknown variant {variant!r}")
+def _dist(args, sample):
+    """The map F from --f; only the plugin variant reads it."""
+    return resolve_dist_spec(args.f, sample.ys) if args.variant == "plugin" else None
 
 
 def cmd_compute(args) -> int:
     table = load_csv(args.file)
     sample = PairedSample(xs=_column(table, args.x_col), ys=_column(table, args.y_col))
     kernel = parse_kernel_spec(args.h)
-    result = _coefficient(sample, args.variant, kernel, args.f, args.seed)
+    result = coefficient(sample, args.variant, kernel, _dist(args, sample), args.seed)
     with _open_out(args.out) as out:
         print(f"xi={result.xi!r}", file=out)
         print(f"zeta={result.zeta!r}", file=out)
@@ -120,15 +108,12 @@ def cmd_compute(args) -> int:
 def cmd_test(args) -> int:
     table = load_csv(args.file)
     sample = PairedSample(xs=_column(table, args.x_col), ys=_column(table, args.y_col))
-    if sample.n < 3:
-        raise DegenerateDataError("need n >= 3 for variance")
     kernel = parse_kernel_spec(args.h)
-    dist = resolve_dist_spec(args.f, sample.ys) if args.variant == "plugin" else None
     result = independence_test(
         sample,
         kernel,
         variant=args.variant,
-        dist=dist,
+        dist=_dist(args, sample),
         tie_seed=args.seed,
         continuous_y=args.continuous_y,
     )
@@ -164,7 +149,7 @@ def cmd_rank(args) -> int:
     for name in names:
         sample = PairedSample(xs=xs, ys=table.columns[name])
         try:
-            value = _coefficient(sample, args.variant, kernel, args.f, args.seed).xi
+            value = coefficient(sample, args.variant, kernel, _dist(args, sample), args.seed).xi
         except DegenerateDataError:
             degenerate.append(name)
             continue
@@ -190,16 +175,25 @@ def cmd_simulate(args) -> int:
     dump_dir = Path(args.dump_dir) if args.dump_dir else None
     manifest = []
 
+    if dump_dir is not None:
+        for sigma in sigmas:
+            for n in sizes:
+                _dump_samples(dump_dir, args.model, sigma, n, args.reps, args.seed)
+
     cells = {}
     for method in methods:
+        label = method.row_label()
         for sigma in sigmas:
             for n in sizes:
                 spec = ModelSpec(model=args.model, sigma=sigma, n=n, seed=0)
                 summary = replicate(spec, method, args.reps, args.seed, keep_per_rep=True)
-                cells[(method.row_label(), sigma, n)] = format_cell(summary)
+                cells[(label, sigma, n)] = format_cell(summary)
                 if dump_dir is not None:
-                    _dump_reps(dump_dir, args.model, sigma, n, args.reps, args.seed,
-                               method, summary, manifest)
+                    manifest.extend(
+                        [*label, sigma, n, i, rep_seed(args.seed, i), _sample_name(sigma, n, i),
+                         repr(value)]
+                        for i, value in enumerate(summary.per_rep)
+                    )
 
     with _open_out(args.out) as out:
         writer = csv.writer(out)
@@ -217,21 +211,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _dump_reps(dump_dir, model, sigma, n, reps, base_seed, method, summary, manifest):
+def _sample_name(sigma, n, rep):
+    return f"sample_s{sigma}_n{n}_rep{rep}.csv"
+
+
+def _dump_samples(dump_dir, model, sigma, n, reps, base_seed):
+    """Write this run's samples, replacing any a previous run left."""
     dump_dir.mkdir(parents=True, exist_ok=True)
-    label = method.row_label()
-    for i, seed, sample in iter_replicates(model, sigma, n, reps, base_seed):
-        name = f"sample_s{sigma}_n{n}_rep{i}.csv"
-        path = dump_dir / name
-        if not path.exists():
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["x", "y"])
-                for x, y in zip(sample.xs, sample.ys):
-                    writer.writerow([repr(float(x)), repr(float(y))])
-        manifest.append(
-            [label[0], label[1], sigma, n, i, seed, name, repr(summary.per_rep[i])]
-        )
+    for i, _, sample in iter_replicates(model, sigma, n, reps, base_seed):
+        with open(dump_dir / _sample_name(sigma, n, i), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y"])
+            for x, y in zip(sample.xs, sample.ys):
+                writer.writerow([repr(float(x)), repr(float(y))])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", default="power:1", help="kernel spec: power:G | exp:B | expsq")
         p.add_argument("--f", default=f_default,
                        help="F spec: std-normal | fit-normal[:MU,SIGMA] | empirical | uniform:A,B")
-        p.add_argument("--variant", default="plugin",
-                       choices=["plugin", "rank", "simplified", "chatterjee"])
+        p.add_argument("--variant", default="plugin", choices=VARIANTS)
         p.add_argument("--seed", type=int, default=0, help="tie-break seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
 

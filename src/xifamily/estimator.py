@@ -15,7 +15,9 @@ simplified variant replaces chi by the constant C_h = integral of h over
 the unit square, valid for continuous y, dropping the cost from O(n^2) to
 O(n log n). With h = |y - z| the simplified variant is, up to the
 (n^2-1)/3 vs n^2/3 denominator, Chatterjee's rank correlation, which is
-also provided directly as a reference.
+also provided directly as a reference. ``coefficient`` selects a member
+by its name in ``VARIANTS``; the CLI, the simulation harness and the
+independence test all go through it.
 
 All operations are pure functions of (sample, seed). chi is built from the
 off-diagonal row sums of ``kernels.kernel_row_sums``: exact O(n log n)
@@ -39,9 +41,10 @@ from .errors import DegenerateDataError, NumericError
 from .kernels import Kernel, kernel_row_sums, normalization_constant
 
 __all__ = [
+    "VARIANTS",
     "PairedSample",
-    "OrderedSample",
     "CoefficientResult",
+    "coefficient",
     "order_by_x",
     "ranks",
     "xi_plugin",
@@ -51,6 +54,9 @@ __all__ = [
     "pearson",
     "spearman",
 ]
+
+#: The family members ``coefficient`` computes, by name.
+VARIANTS = ("plugin", "rank", "simplified", "chatterjee")
 
 
 @dataclass(frozen=True)
@@ -80,14 +86,6 @@ class PairedSample:
 
 
 @dataclass(frozen=True)
-class OrderedSample:
-    """The permutation that makes the x's nondecreasing, and its tie seed."""
-
-    permutation: np.ndarray
-    tie_seed: int
-
-
-@dataclass(frozen=True)
 class CoefficientResult:
     """A coefficient value together with its numerator and denominator.
 
@@ -110,8 +108,8 @@ def _has_ties(sorted_values: np.ndarray) -> bool:
     return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
 
 
-def order_by_x(sample: PairedSample, tie_seed: int = 0) -> OrderedSample:
-    """Sort pairs by x, breaking tied x's uniformly at random.
+def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
+    """The permutation that sorts pairs by x, tied x's broken uniformly at random.
 
     One argsort orders the x's. Only tied x's run the tie-break: it draws
     one uniform key per observation from ``tie_seed`` and sorts
@@ -125,7 +123,7 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> OrderedSample:
     if _has_ties(xs[perm]):
         keys = np.random.default_rng(tie_seed).random(sample.n)
         perm = np.lexsort((keys, xs))
-    return OrderedSample(permutation=perm, tie_seed=tie_seed)
+    return perm
 
 
 def ranks(ys) -> np.ndarray:
@@ -194,9 +192,9 @@ def xi_plugin(
     (O(n log n) for the builtin power:1, power:2, exp and expsq kernels,
     O(n^2) otherwise); xi = 1 - zeta/chi, set to 1 when chi = 0.
     """
-    ordered = order_by_x(sample, tie_seed)
+    permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    return _coefficient_from_u(u, ordered.permutation, kernel, "plugin", sample.n, tie_seed)
+    return _coefficient_from_u(u, permutation, kernel, "plugin", sample.n, tie_seed)
 
 
 def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -205,27 +203,22 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     Uses u_i = R_i / n with the max-rank convention; agrees exactly with
     ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
     """
-    ordered = order_by_x(sample, tie_seed)
+    permutation = order_by_x(sample, tie_seed)
     u = ranks(sample.ys) / sample.n
-    return _coefficient_from_u(u, ordered.permutation, kernel, "rank", sample.n, tie_seed)
+    return _coefficient_from_u(u, permutation, kernel, "rank", sample.n, tie_seed)
 
 
-def xi_simplified(
-    sample: PairedSample,
-    kernel: Kernel,
-    tie_seed: int = 0,
-    quadrature_tol: float = 1e-8,
-) -> CoefficientResult:
+def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
     """Simplified rank coefficient: xi = 1 - zeta_rank / C_h, O(n log n).
 
     Valid when y is continuous, where the pairwise normalization converges
     to the constant C_h and need not be estimated.
     """
-    c_h = normalization_constant(kernel, quadrature_tol)
+    c_h = normalization_constant(kernel)
     if c_h <= 0.0:
         raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
-    ordered = order_by_x(sample, tie_seed)
-    u_ordered = ranks(sample.ys)[ordered.permutation] / sample.n
+    permutation = order_by_x(sample, tie_seed)
+    u_ordered = ranks(sample.ys)[permutation] / sample.n
     zeta = _consecutive_mean(u_ordered, kernel)
     return CoefficientResult(
         xi=1.0 - zeta / c_h,
@@ -243,12 +236,12 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     The (n^2 - 1)/3 denominator assumes no ties among the x's; tied x's are
     rejected (use ``xi_rank`` there, which handles ties by construction).
     """
-    ordered = order_by_x(sample, tie_seed)
-    if _has_ties(sample.xs[ordered.permutation]):
+    permutation = order_by_x(sample, tie_seed)
+    if _has_ties(sample.xs[permutation]):
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
-    rank_gaps = np.abs(np.diff(ranks(sample.ys)[ordered.permutation]))
+    rank_gaps = np.abs(np.diff(ranks(sample.ys)[permutation]))
     gap_sum = _fsum(rank_gaps.astype(float))
     normalization = (sample.n**2 - 1) / 3.0
     return CoefficientResult(
@@ -259,6 +252,34 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
         n=sample.n,
         tie_seed=tie_seed,
     )
+
+
+def coefficient(
+    sample: PairedSample,
+    variant: str,
+    kernel: Kernel | None = None,
+    dist: DistMap | None = None,
+    tie_seed: int = 0,
+) -> CoefficientResult:
+    """The family member named by ``variant``, one of ``VARIANTS``.
+
+    ``plugin`` needs ``dist`` (the map F); ``plugin``, ``rank`` and
+    ``simplified`` need ``kernel``; ``chatterjee`` fixes h = |u - v| and
+    ignores both.
+    """
+    # xi_* are looked up by name on every call, so a caller that rebinds
+    # them (a profiler, a test double) sees every call
+    if variant == "plugin":
+        if dist is None:
+            raise ValueError("plugin variant requires a distribution map")
+        return xi_plugin(sample, kernel, dist, tie_seed)
+    if variant == "rank":
+        return xi_rank(sample, kernel, tie_seed)
+    if variant == "simplified":
+        return xi_simplified(sample, kernel, tie_seed)
+    if variant == "chatterjee":
+        return chatterjee_reference(sample, tie_seed)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def pearson(sample: PairedSample) -> float:

@@ -34,14 +34,7 @@ from scipy.special import ndtr
 
 from .cdf import DistMap, empirical_map
 from .errors import DegenerateDataError, NumericError
-from .estimator import (
-    PairedSample,
-    _has_ties,
-    chatterjee_reference,
-    xi_plugin,
-    xi_rank,
-    xi_simplified,
-)
+from .estimator import PairedSample, _has_ties, coefficient
 from .kernels import Kernel, kernel_row_sums, make_kernel
 
 __all__ = [
@@ -154,19 +147,9 @@ def independence_test(
     """
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
-    if variant == "plugin":
-        if dist is None:
-            raise ValueError("plugin variant requires a distribution map")
-        result = xi_plugin(sample, kernel, dist, tie_seed)
-    elif variant == "rank":
-        result = xi_rank(sample, kernel, tie_seed)
-    elif variant == "simplified":
-        result = xi_simplified(sample, kernel, tie_seed)
-    elif variant == "chatterjee":
-        result = chatterjee_reference(sample, tie_seed)
+    result = coefficient(sample, variant, kernel, dist, tie_seed)
+    if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
     if continuous_y and _has_ties(np.sort(sample.ys)):
         warnings.warn(
@@ -175,7 +158,7 @@ def independence_test(
             stacklevel=2,
         )
 
-    rank_based = variant in ("rank", "simplified", "chatterjee")
+    rank_based = variant != "plugin"
     if rank_based and kernel.name == "power" and continuous_y:
         variance = VarianceEstimate(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),

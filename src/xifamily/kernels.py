@@ -48,9 +48,6 @@ __all__ = [
     "kernel_row_sums",
 ]
 
-#: Lipschitz constant of (e^y - e^z)^2 on the unit square.
-_EXPSQ_LIPSCHITZ = 2.0 * math.e**2
-
 _VALIDATION_GRID = 101
 _VALIDATION_TOL = 1e-12
 
@@ -66,8 +63,7 @@ class Kernel:
 
     ``eval`` must accept scalars or numpy arrays (broadcasting) and be pure:
     identical inputs give bit-identical outputs. ``closed_form_ch`` is the
-    unit-square integral when known analytically, ``lipschitz_k`` a Lipschitz
-    constant on [0,1]^2 when finite.
+    unit-square integral when known analytically.
 
     ``row_sums`` is an optional exact fast path for ``kernel_row_sums``:
     called as ``row_sums(v, squares)`` with ascending, non-constant values
@@ -80,7 +76,6 @@ class Kernel:
     params: dict = field(default_factory=dict)
     eval: Callable = None
     closed_form_ch: float | None = None
-    lipschitz_k: float | None = None
     row_sums: Callable | None = None
 
     def label(self) -> str:
@@ -224,9 +219,7 @@ def _exp_row_sums(beta: float) -> Callable:
 def make_kernel(name: str, **params) -> Kernel:
     """Construct a builtin kernel: ``power`` (gamma), ``exp`` (beta), ``expsq``.
 
-    Parameter domains (gamma > 0, beta > 0) are enforced here. The power
-    kernel is Lipschitz on [0,1]^2 only for gamma >= 1 (constant gamma); for
-    gamma < 1 ``lipschitz_k`` is None.
+    Parameter domains (gamma > 0, beta > 0) are enforced here.
     """
     if name == "power":
         gamma = _require_positive_finite(params.pop("gamma"), "gamma")
@@ -237,7 +230,6 @@ def make_kernel(name: str, **params) -> Kernel:
             params={"gamma": gamma},
             eval=_power_eval(gamma),
             closed_form_ch=2.0 / ((gamma + 1.0) * (gamma + 2.0)),
-            lipschitz_k=gamma if gamma >= 1.0 else None,
             row_sums={1.0: _abs_row_sums, 2.0: _square_row_sums}.get(gamma),
         )
     if name == "exp":
@@ -249,7 +241,6 @@ def make_kernel(name: str, **params) -> Kernel:
             params={"beta": beta},
             eval=_exp_eval(beta),
             closed_form_ch=1.0 - 2.0 / beta + 2.0 / beta**2 - 2.0 * math.exp(-beta) / beta**2,
-            lipschitz_k=beta,
             row_sums=_exp_row_sums(beta),
         )
     if name == "expsq":
@@ -260,7 +251,6 @@ def make_kernel(name: str, **params) -> Kernel:
             eval=_expsq_eval,
             # 2 * int e^{2u} du - 2 * (int e^u du)^2 over [0,1]
             closed_form_ch=(math.e**2 - 1.0) - 2.0 * (math.e - 1.0) ** 2,
-            lipschitz_k=_EXPSQ_LIPSCHITZ,
             row_sums=_expsq_row_sums,
         )
     raise ValueError(f"unknown kernel {name!r}; expected power, exp or expsq")
@@ -270,7 +260,6 @@ def custom_kernel(
     name: str,
     fn: Callable,
     closed_form_ch: float | None = None,
-    lipschitz_k: float | None = None,
 ) -> Kernel:
     """Register a user-supplied kernel after validating it on a grid.
 
@@ -299,7 +288,6 @@ def custom_kernel(
         name=name,
         eval=fn,
         closed_form_ch=closed_form_ch,
-        lipschitz_k=lipschitz_k,
     )
 
 

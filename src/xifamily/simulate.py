@@ -30,15 +30,7 @@ import numpy as np
 
 from .cdf import DistMap, resolve_dist_spec
 from .errors import DegenerateDataError, XiFamilyError
-from .estimator import (
-    PairedSample,
-    chatterjee_reference,
-    pearson,
-    spearman,
-    xi_plugin,
-    xi_rank,
-    xi_simplified,
-)
+from .estimator import PairedSample, coefficient, pearson, spearman
 from .kernels import Kernel, parse_kernel_spec
 
 __all__ = [
@@ -125,20 +117,12 @@ class MethodConfig:
     dist_spec: str | None = None
 
     def evaluate(self, sample: PairedSample, tie_seed: int) -> float:
-        if self.variant == "plugin":
-            dist = resolve_dist_spec(self.dist_spec, sample.ys)
-            return xi_plugin(sample, self.kernel, dist, tie_seed).xi
-        if self.variant == "rank":
-            return xi_rank(sample, self.kernel, tie_seed).xi
-        if self.variant == "simplified":
-            return xi_simplified(sample, self.kernel, tie_seed).xi
-        if self.variant == "chatterjee":
-            return chatterjee_reference(sample, tie_seed).xi
         if self.variant == "pearson":
             return pearson(sample)
         if self.variant == "spearman":
             return spearman(sample)
-        raise ValueError(f"unknown variant {self.variant!r}")
+        dist = None if self.dist_spec is None else resolve_dist_spec(self.dist_spec, sample.ys)
+        return coefficient(sample, self.variant, self.kernel, dist, tie_seed).xi
 
     def row_label(self) -> tuple[str, str]:
         """(method, kernel) pair used as the table row identity."""

@@ -234,25 +234,31 @@ def test_simulate_invalid_model_exit_2(capsys):
 
 def test_simulate_dump_round_trip(tmp_path, capsys):
     # coefficients stored in the manifest must be reproduced bit-for-bit
-    # by cmd_compute on the dumped per-rep files
+    # by cmd_compute on the dumped per-rep files, also after a rerun with
+    # another model and seed into the same directory
     dump = tmp_path / "dump"
     out = tmp_path / "table.csv"
-    code = main([
-        "simulate", "--model", "linear", "--sigma", "0.1", "--n", "50",
-        "--reps", "2", "--method", "simplified,power:1",
-        "--out", str(out), "--dump-dir", str(dump),
-    ])
-    assert code == 0
-    with open(dump / "reps.csv", newline="") as fh:
-        manifest = list(csv.DictReader(fh))
-    assert len(manifest) == 2
-    for row in manifest:
+    runs = [
+        ("linear", "0", ["simplified,power:1"]),
+        ("quadratic", "5", ["simplified,power:1", "rank,power:2"]),
+    ]
+    for model, seed, methods in runs:
         code = main([
-            "compute", "--file", str(dump / row["file"]),
-            "--x-col", "x", "--y-col", "y",
-            "--variant", "simplified", "--h", "power:1",
-            "--seed", row["seed"],
+            "simulate", "--model", model, "--sigma", "0.1", "--n", "50",
+            "--reps", "2", "--seed", seed, "--out", str(out), "--dump-dir", str(dump),
+            *[arg for method in methods for arg in ("--method", method)],
         ])
         assert code == 0
-        xi = float(parse_kv(capsys.readouterr().out)["xi"])
-        assert xi == float(row["value"])
+        with open(dump / "reps.csv", newline="") as fh:
+            manifest = list(csv.DictReader(fh))
+        assert len(manifest) == 2 * len(methods)
+        for row in manifest:
+            code = main([
+                "compute", "--file", str(dump / row["file"]),
+                "--x-col", "x", "--y-col", "y",
+                "--variant", row["method"], "--h", row["kernel"],
+                "--seed", row["seed"],
+            ])
+            assert code == 0
+            xi = float(parse_kv(capsys.readouterr().out)["xi"])
+            assert xi == float(row["value"])

@@ -52,13 +52,6 @@ def test_exp_rejects_bad_beta(bad):
         make_kernel("exp", beta=bad)
 
 
-def test_lipschitz_metadata():
-    assert make_kernel("power", gamma=2.0).lipschitz_k == 2.0
-    assert make_kernel("power", gamma=0.5).lipschitz_k is None
-    assert make_kernel("exp", beta=3.0).lipschitz_k == 3.0
-    assert make_kernel("expsq").lipschitz_k == pytest.approx(2.0 * math.e**2)
-
-
 @pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label())
 def test_grid_invariants(kernel):
     grid = np.linspace(0.0, 1.0, 101)
