@@ -4,6 +4,10 @@ Four kinds are supported: the standard normal CDF, a normal CDF with fitted
 or explicit (mu, sigma), a uniform CDF on [a, b], and the empirical CDF of
 the observed sample. All maps are immutable, deterministic functions of
 their construction inputs and accept scalars or numpy arrays.
+
+The normal maps evaluate scipy's vectorized ``ndtr``. scipy.special is
+imported only when one of them is built or called, so importing the package
+does not pay for it (about 0.3 s and 25 MB).
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DegenerateDataError
 
@@ -40,10 +43,14 @@ class DistMap:
 
 def std_normal_cdf(t):
     """Standard normal CDF, exact to double precision (|error| < 1e-12)."""
+    from scipy.special import ndtr
+
     return ndtr(t)
 
 
 def std_normal_map() -> DistMap:
+    from scipy.special import ndtr
+
     return DistMap(kind="std_normal", eval=ndtr)
 
 
@@ -53,6 +60,8 @@ def normal_map(mu: float, sigma: float) -> DistMap:
     sigma = float(sigma)
     if not (math.isfinite(mu) and math.isfinite(sigma)) or sigma <= 0.0:
         raise ValueError(f"normal map needs finite mu and sigma > 0, got ({mu}, {sigma})")
+    from scipy.special import ndtr
+
     return DistMap(
         kind="fitted_normal",
         eval=lambda t: ndtr((np.asarray(t, dtype=float) - mu) / sigma),

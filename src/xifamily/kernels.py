@@ -23,9 +23,10 @@ kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
 The all-pairs sums behind the plugin and rank coefficients and the
 U-statistic null variance go through one primitive, ``kernel_row_sums``.
-power:1, power:2, exp and expsq carry exact O(n log n) row-sum identities
-on the sorted sample; every other kernel is summed in row blocks of the
-upper triangle, O(n^2) work in O(n) memory.
+power:1, power:2, power:3, exp and expsq (the kernels of the simulation
+study) carry exact O(n log n) row-sum identities on the sorted sample;
+every other kernel is summed in row blocks of the upper triangle, O(n^2)
+work in O(n) memory.
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _one_sided_sums(x: np.ndarray):
+    """Sums of x over j < k and over j > k, for every k."""
+    return _exclusive_cumsum(x), _exclusive_cumsum(x[::-1])[::-1]
+
+
 def _abs_row_sums(v: np.ndarray, squares: bool):
     """|u - v|: prefix sums over the sorted sample (Huo & Szekely 2016)."""
     n = v.size
@@ -146,10 +152,37 @@ def _abs_row_sums(v: np.ndarray, squares: bool):
     # small factor of their difference.
     w = v - v[n // 2]
     k = np.arange(n)
-    below = k * w - _exclusive_cumsum(w)
-    above = _exclusive_cumsum(w[::-1])[::-1] - (n - 1 - k) * w
-    sums = below + above
+    prefix, suffix = _one_sided_sums(w)
+    sums = (k * w - prefix) + (suffix - (n - 1 - k) * w)
     return sums, _moment_row_sums(w, False)[0] if squares else None
+
+
+def _cube_row_sums(v: np.ndarray, squares: bool):
+    """|u - v|^3: the same prefix sums one power higher.
+
+    On the sorted sample |w_k - w_j|^3 is (w_k - w_j)^3 for j < k and
+    (w_j - w_k)^3 for j > k, so each side expands binomially over one-sided
+    sums of w, w^2 and w^3; the squares (w_k - w_j)^6 expand over the six
+    moments of w. Both are centered at the median, as for |u - v|.
+    """
+    n = v.size
+    w = v - v[n // 2]
+    k = np.arange(n)
+    w2 = w * w
+    w3 = w2 * w
+    (p1, s1), (p2, s2), (p3, s3) = (_one_sided_sums(x) for x in (w, w2, w3))
+    below = k * w3 - 3.0 * w2 * p1 + 3.0 * w * p2 - p3
+    above = s3 - 3.0 * w * s2 + 3.0 * w2 * s1 - (n - 1 - k) * w3
+    sums = below + above
+    if not squares:
+        return sums, None
+    w4, w5, w6 = w2 * w2, w2 * w3, w3 * w3
+    m1, m2, m3, m4, m5, m6 = (float(np.sum(x)) for x in (w, w2, w3, w4, w5, w6))
+    squared = (
+        n * w6 - 6.0 * m1 * w5 + 15.0 * m2 * w4 - 20.0 * m3 * w3
+        + 15.0 * m4 * w2 - 6.0 * m5 * w + m6
+    )
+    return sums, squared
 
 
 def _square_row_sums(v: np.ndarray, squares: bool):
@@ -230,7 +263,7 @@ def make_kernel(name: str, **params) -> Kernel:
             params={"gamma": gamma},
             eval=_power_eval(gamma),
             closed_form_ch=2.0 / ((gamma + 1.0) * (gamma + 2.0)),
-            row_sums={1.0: _abs_row_sums, 2.0: _square_row_sums}.get(gamma),
+            row_sums={1.0: _abs_row_sums, 2.0: _square_row_sums, 3.0: _cube_row_sums}.get(gamma),
         )
     if name == "exp":
         beta = _require_positive_finite(params.pop("beta"), "beta")

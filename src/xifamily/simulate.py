@@ -30,7 +30,7 @@ import numpy as np
 
 from .cdf import DistMap, resolve_dist_spec
 from .errors import DegenerateDataError, XiFamilyError
-from .estimator import PairedSample, coefficient, pearson, spearman
+from .estimator import VARIANTS, PairedSample, coefficient, pearson, spearman
 from .kernels import Kernel, parse_kernel_spec
 
 __all__ = [
@@ -51,6 +51,10 @@ __all__ = [
 
 #: Pure-noise token: y = e, independent of x.
 SIGMA_INF = "inf"
+
+#: Baselines the harness runs beside the family members in ``VARIANTS``.
+_BASELINES = ("pearson", "spearman")
+_METHODS = VARIANTS + _BASELINES
 
 _MODEL_FUNCS = {
     "linear": lambda x: x,
@@ -138,24 +142,23 @@ def parse_method_spec(spec: str) -> MethodConfig:
     """Parse ``VARIANT[,KERNEL[,F]]``, e.g. ``plugin,power:2,std-normal``."""
     parts = [p.strip() for p in spec.split(",")]
     variant = parts[0]
-    if variant in ("pearson", "spearman", "chatterjee"):
+    if variant not in _METHODS:
+        raise ValueError(
+            f"unknown method {variant!r}; expected {', '.join(_METHODS[:-1])} or {_METHODS[-1]}"
+        )
+    if variant == "chatterjee" or variant in _BASELINES:
         if len(parts) > 1:
             raise ValueError(f"{variant} takes no kernel or F spec")
         return MethodConfig(variant=variant)
-    if variant in ("rank", "simplified"):
-        if len(parts) != 2:
-            raise ValueError(f"{variant} needs a kernel spec, e.g. {variant},power:1")
-        return MethodConfig(variant=variant, kernel=parse_kernel_spec(parts[1]))
     if variant == "plugin":
         if len(parts) != 3:
             raise ValueError("plugin needs kernel and F specs, e.g. plugin,power:1,std-normal")
         return MethodConfig(
             variant="plugin", kernel=parse_kernel_spec(parts[1]), dist_spec=parts[2]
         )
-    raise ValueError(
-        f"unknown method {variant!r}; expected plugin, rank, simplified, "
-        "chatterjee, pearson or spearman"
-    )
+    if len(parts) != 2:
+        raise ValueError(f"{variant} needs a kernel spec, e.g. {variant},power:1")
+    return MethodConfig(variant=variant, kernel=parse_kernel_spec(parts[1]))
 
 
 def generate(spec: ModelSpec) -> PairedSample:

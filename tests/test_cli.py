@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xifamily
 from xifamily.cli import load_csv, main
 
 
@@ -262,3 +267,16 @@ def test_simulate_dump_round_trip(tmp_path, capsys):
             assert code == 0
             xi = float(parse_kv(capsys.readouterr().out)["xi"])
             assert xi == float(row["value"])
+
+
+def test_import_does_not_load_scipy_special():
+    # scipy.special is most of a process's memory; only the normal maps need it
+    env = dict(os.environ)
+    src = str(Path(xifamily.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, xifamily, xifamily.cli; print('scipy.special' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -25,7 +25,7 @@ from xifamily.estimator import (
 )
 from xifamily.inference import independence_test
 from xifamily.kernels import parse_kernel_spec
-from xifamily.simulate import parse_method_spec
+from xifamily.simulate import MethodConfig, parse_method_spec
 
 KERNELS = ["power:1", "power:3", "exp:1", "expsq"]
 F_SPEC = "std-normal"
@@ -107,10 +107,30 @@ def test_unknown_variant_rejected_everywhere(tmp_path, capsys):
     kernel = parse_kernel_spec("power:1")
     with pytest.raises(ValueError, match="unknown variant 'kendall'"):
         coefficient(sample, "kendall", kernel)
-    with pytest.raises(ValueError, match="unknown method 'kendall'"):
+    with pytest.raises(
+        ValueError,
+        match="unknown method 'kendall'; expected plugin, rank, simplified, chatterjee, "
+        "pearson or spearman$",
+    ):
         parse_method_spec("kendall,power:1")
     with pytest.raises(ValueError, match="unknown variant 'kendall'"):
         independence_test(sample, kernel, variant="kendall")
     argv = compute_argv(write_sample(tmp_path / "d.csv", sample), "kendall", "power:1")
     assert main(argv) == 2
     assert "invalid choice: 'kendall'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "chatterjee"])
+def test_missing_kernel_rejected_everywhere(variant):
+    # the CLI always has a kernel: --h defaults to power:1
+    sample = make_sample(tied_x=False)
+    dist = resolve_dist_spec(F_SPEC, sample.ys)
+    message = f"{variant} variant requires a kernel"
+    with pytest.raises(ValueError, match=message):
+        coefficient(sample, variant, None, dist)
+    with pytest.raises(ValueError, match=message):
+        MethodConfig(variant, dist_spec=F_SPEC if variant == "plugin" else None).evaluate(
+            sample, TIE_SEED
+        )
+    with pytest.raises(ValueError, match=message):
+        independence_test(sample, None, variant=variant, dist=dist)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
@@ -14,6 +15,7 @@ from xifamily.inference import (
 from xifamily.kernels import make_kernel
 
 POWER1 = make_kernel("power", gamma=1.0)
+POWER3 = make_kernel("power", gamma=3.0)
 
 
 # ------------------------------------------------------------- closed form
@@ -120,6 +122,25 @@ def test_ustat_converges_to_closed_form_plugin():
         assert abs(est.sigma2 - 0.4) <= 0.05
 
 
+def test_ustat_power3_converges_to_closed_form_empirical():
+    # the sixth-moment expansion behind q: ranks / n of continuous y are
+    # 1/n, ..., 1 whatever the sample, and miss the limit by about 0.75/n
+    target = sigma2_power_closed_form(3.0)
+    ys = np.random.default_rng(3000).random(5000)
+    est = sigma2_ustat(ys, POWER3, empirical_map(ys))
+    assert est.source == "ustat_rank"
+    assert abs(est.sigma2 - target) <= 1e-3 * target
+
+
+def test_ustat_power3_converges_to_closed_form_plugin():
+    # with the true CDF the estimate varies by sample: sd about 0.013 at n=5000
+    target = sigma2_power_closed_form(3.0)
+    for rep in range(20):
+        ys = np.random.default_rng(4000 + rep).random(5000)
+        est = sigma2_ustat(ys, POWER3, uniform_map(0.0, 1.0))
+        assert abs(est.sigma2 - target) <= 0.04 * target
+
+
 # --------------------------------------------------------------- the test
 
 def _independent_sample(n, seed):
@@ -143,6 +164,16 @@ def test_z_matches_arithmetic_contract():
     assert result.p_two_sided == pytest.approx(
         2.0 * min(result.p_one_sided, 1.0 - result.p_one_sided), rel=1e-9
     )
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_p_values_are_normal_tails(seed):
+    s = _independent_sample(500, seed)
+    if seed == 3:
+        s = PairedSample(xs=s.xs, ys=s.xs + 0.3 * s.ys)
+    result = independence_test(s, POWER1, variant="rank")
+    assert result.p_one_sided == pytest.approx(ndtr(-result.z), rel=1e-13)
+    assert result.p_two_sided == pytest.approx(2.0 * ndtr(-abs(result.z)), rel=1e-13)
 
 
 def test_dependence_forces_tiny_p():

@@ -11,6 +11,11 @@ Tolerances, relative to the oracle:
   up to about 1e-14 for steep exp kernels);
 * sigma^2 = (q - 2r + m^2) / m^2: 1e-10, the bound the benchmark checks,
   which leaves room for the cancellation in its numerator.
+
+The oracle is too slow beyond a few hundred points, while the rounding error
+of the prefix sums grows with n; the power:3 identity is also checked at
+n=5000 against the blocked path, under the same tolerances, which
+``kernel_row_sums`` also promises for every single row.
 """
 
 import math
@@ -21,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from xifamily.cdf import uniform_map
+from xifamily.cdf import DistMap, uniform_map
 from xifamily.errors import DegenerateDataError, NumericError
 from xifamily.estimator import PairedSample, _average_ranks, xi_plugin
 from xifamily.inference import sigma2_ustat
@@ -154,6 +159,41 @@ def test_row_sums_follow_input_order(kernel):
     np.fill_diagonal(values, 0.0)
     np.testing.assert_allclose(sums, values.sum(axis=1), rtol=1e-13)
     np.testing.assert_allclose(squares, np.square(values).sum(axis=1), rtol=1e-13)
+
+
+#: |y - z|^3 without a row-sum hook: summed on the blocked path
+BLOCKED_CUBE = custom_kernel("cube", lambda y, z: np.abs(y - z) ** 3)
+#: F(y) = y on the whole line, so that samples may leave [0, 1]
+RAW = DistMap(kind="identity", eval=lambda t: np.asarray(t, dtype=float))
+LARGE_N = 5000
+LARGE_SAMPLES = {
+    "continuous": lambda rng: rng.random(LARGE_N),
+    "tied": lambda rng: rng.integers(0, 5, LARGE_N) / 4.0,
+    # the minimum far from the bulk: centering there would cancel badly
+    "two-clusters": lambda rng: np.where(rng.random(LARGE_N) < 0.002, 0.05, 0.95)
+    + 1e-6 * rng.random(LARGE_N),
+    "near-constant": lambda rng: 0.5 + 1e-9 * (rng.random(LARGE_N) - 0.5),
+    "offset": lambda rng: 1e3 + rng.random(LARGE_N),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LARGE_SAMPLES))
+def test_cube_hook_matches_blocked_path_at_large_n(shape):
+    u = LARGE_SAMPLES[shape](np.random.default_rng(17))
+    cube = make_kernel("power", gamma=3.0)
+    assert cube.row_sums is not None  # otherwise both sides are the blocked path
+    for got, exact in zip(
+        kernel_row_sums(u, cube, squares=True), kernel_row_sums(u, BLOCKED_CUBE, squares=True)
+    ):
+        np.testing.assert_allclose(got, exact, rtol=MOMENT_REL_TOL, atol=0.0)
+    sample = PairedSample(xs=np.arange(LARGE_N, dtype=float), ys=u)
+    chi = xi_plugin(sample, cube, RAW).normalization
+    assert_close(chi, xi_plugin(sample, BLOCKED_CUBE, RAW).normalization, CHI_REL_TOL, "chi")
+    est = sigma2_ustat(u, cube, RAW)
+    blocked = sigma2_ustat(u, BLOCKED_CUBE, RAW)
+    for name, got, exact in zip("mqr", est.components, blocked.components):
+        assert_close(got, exact, MOMENT_REL_TOL, name)
+    assert_close(est.sigma2, blocked.sigma2, SIGMA2_REL_TOL, "sigma2")
 
 
 def test_exp_row_sums_for_steep_kernels():
