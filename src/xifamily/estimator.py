@@ -21,12 +21,13 @@ independence test all go through it.
 
 All operations are pure functions of (sample, seed). chi is built from the
 off-diagonal row sums of ``kernels.kernel_row_sums``: exact O(n log n)
-identities for the builtin power:1, power:2, power:3, exp and expsq kernels,
-blocked O(n^2) sums otherwise. The row sums are added with exactly rounded
-summation (math.fsum), so chi is deterministic, independent of the order of
-the sample, and within 1e-12 relative of the exactly rounded sum of all
-n^2 kernel values (the tolerance the tests check against a row-loop
-oracle).
+identities for the builtin kernels (one integer-power routine for power:1,
+power:2 and power:3, and for expsq as power:2 on e^u; a decayed-sum
+recurrence for exp), blocked O(n^2) sums otherwise. The row sums are added
+with exactly rounded summation (math.fsum), so chi is deterministic,
+independent of the order of the sample, and within 1e-12 relative of the
+exactly rounded sum of all n^2 kernel values (the tolerance the tests check
+against a row-loop oracle).
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def xi_plugin(
     """Plugin coefficient with a prespecified monotone map F.
 
     Computes zeta over consecutive F(y)'s in x-order and chi over all pairs
-    (O(n log n) for the builtin power:1, power:2, power:3, exp and expsq
-    kernels, O(n^2) otherwise); xi = 1 - zeta/chi, set to 1 when chi = 0.
+    (O(n log n) for the builtin kernels, O(n^2) otherwise); xi = 1 - zeta/chi,
+    set to 1 when chi = 0.
     """
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)

@@ -16,8 +16,9 @@ distinct index pairs and triples, computed from the row sums of
     sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i,
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
-in O(n log n) for the builtin power:1, power:2, power:3, exp and expsq
-kernels and in blocked O(n^2) otherwise.
+in O(n log n) for the builtin kernels (one integer-power routine for
+power:1, power:2 and power:3, and for expsq as power:2 on e^u; a
+decayed-sum recurrence for exp) and in blocked O(n^2) otherwise.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).

@@ -23,10 +23,11 @@ kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
 The all-pairs sums behind the plugin and rank coefficients and the
 U-statistic null variance go through one primitive, ``kernel_row_sums``.
-power:1, power:2, power:3, exp and expsq (the kernels of the simulation
-study) carry exact O(n log n) row-sum identities on the sorted sample;
-every other kernel is summed in row blocks of the upper triangle, O(n^2)
-work in O(n) memory.
+The kernels of the simulation study carry exact O(n log n) row-sum
+identities on the sorted sample: one integer-power routine serves power:1,
+power:2 and power:3, and expsq as power:2 on e^u; exp:beta keeps its
+decayed-sum recurrence. Every other kernel, other exponents included, is
+summed in row blocks of the upper triangle, O(n^2) work in O(n) memory.
 """
 
 from __future__ import annotations
@@ -67,10 +68,10 @@ class Kernel:
     unit-square integral when known analytically.
 
     ``row_sums`` is an optional exact fast path for ``kernel_row_sums``:
-    called as ``row_sums(v, squares)`` with ascending, non-constant values
-    v, it returns the off-diagonal row sums of h and, when ``squares`` is
-    set, of h^2 (else None), in the order of v. Only kernels that vanish on
-    the diagonal exactly may carry one.
+    called as ``row_sums(v, squares)`` with ascending values v, it returns
+    the off-diagonal row sums of h and, when ``squares`` is set, of h^2
+    (else None), in the order of v. Only kernels that vanish on the
+    diagonal exactly may carry one.
     """
 
     name: str
@@ -110,28 +111,13 @@ def _expsq_eval(y, z):
     return np.square(np.subtract(np.exp(y), np.exp(z)))
 
 
-# Row-sum hooks. Each takes ascending, non-constant v and returns the row
-# sums S_k = sum_{j != k} h(v_k, v_j) and, if asked, Q_k = sum_{j != k} h^2.
-# Every identity is arranged so that no large terms cancel: values are
-# centered at the sample's median or mean (where nearby values subtract
-# exactly), or the sums are built from nonnegative terms only.
-
-
-def _moment_row_sums(w: np.ndarray, squares: bool):
-    """Row sums of (w_k - w_j)^2 and (w_k - w_j)^4 by moment expansion.
-
-    ``w`` must be centered near its mean or median, which keeps the
-    expansion free of cancellation.
-    """
-    n = w.size
-    w2 = w * w
-    m1, m2 = float(np.sum(w)), float(np.sum(w2))
-    sums = n * w2 - 2.0 * m1 * w + m2
-    if not squares:
-        return sums, None
-    m3, m4 = float(np.sum(w2 * w)), float(np.sum(w2 * w2))
-    squared = n * w2 * w2 - 4.0 * m1 * w2 * w + 6.0 * m2 * w2 - 4.0 * m3 * w + m4
-    return sums, squared
+# Row-sum hooks. Each takes ascending v and returns the row sums
+# S_k = sum_{j != k} h(v_k, v_j) and, if asked, Q_k = sum_{j != k} h^2.
+# One integer-power routine serves power:1, power:2 and power:3, and expsq
+# as power:2 on e^v; exp:beta keeps its decayed-sum recurrence. Neither lets
+# large terms cancel: the power routine centers the sample at its median,
+# where nearby values subtract exactly, and the recurrence adds nonnegative
+# terms only.
 
 
 def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
@@ -140,59 +126,53 @@ def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _one_sided_sums(x: np.ndarray):
-    """Sums of x over j < k and over j > k, for every k."""
-    return _exclusive_cumsum(x), _exclusive_cumsum(x[::-1])[::-1]
+def _binomial(p: int, powers: list, sums: list) -> np.ndarray:
+    """sum_i C(p, i) (-1)^i w_k^(p-i) sums_i: (w_k - w_j)^p summed over j.
 
-
-def _abs_row_sums(v: np.ndarray, squares: bool):
-    """|u - v|: prefix sums over the sorted sample (Huo & Szekely 2016)."""
-    n = v.size
-    # Centered at the median, the two one-sided sums below stay within a
-    # small factor of their difference.
-    w = v - v[n // 2]
-    k = np.arange(n)
-    prefix, suffix = _one_sided_sums(w)
-    sums = (k * w - prefix) + (suffix - (n - 1 - k) * w)
-    return sums, _moment_row_sums(w, False)[0] if squares else None
-
-
-def _cube_row_sums(v: np.ndarray, squares: bool):
-    """|u - v|^3: the same prefix sums one power higher.
-
-    On the sorted sample |w_k - w_j|^3 is (w_k - w_j)^3 for j < k and
-    (w_j - w_k)^3 for j > k, so each side expands binomially over one-sided
-    sums of w, w^2 and w^3; the squares (w_k - w_j)^6 expand over the six
-    moments of w. Both are centered at the median, as for |u - v|.
+    ``powers[i]`` is w^i and ``sums[i]`` the sum of w_j^i over the j wanted.
     """
-    n = v.size
-    w = v - v[n // 2]
-    k = np.arange(n)
-    w2 = w * w
-    w3 = w2 * w
-    (p1, s1), (p2, s2), (p3, s3) = (_one_sided_sums(x) for x in (w, w2, w3))
-    below = k * w3 - 3.0 * w2 * p1 + 3.0 * w * p2 - p3
-    above = s3 - 3.0 * w * s2 + 3.0 * w2 * s1 - (n - 1 - k) * w3
-    sums = below + above
-    if not squares:
-        return sums, None
-    w4, w5, w6 = w2 * w2, w2 * w3, w3 * w3
-    m1, m2, m3, m4, m5, m6 = (float(np.sum(x)) for x in (w, w2, w3, w4, w5, w6))
-    squared = (
-        n * w6 - 6.0 * m1 * w5 + 15.0 * m2 * w4 - 20.0 * m3 * w3
-        + 15.0 * m4 * w2 - 6.0 * m5 * w + m6
-    )
-    return sums, squared
+    total = powers[p] * sums[0]
+    for i in range(1, p + 1):
+        total += powers[p - i] * ((-1) ** i * math.comb(p, i) * sums[i])
+    return total
 
 
-def _square_row_sums(v: np.ndarray, squares: bool):
-    return _moment_row_sums(v - np.mean(v), squares)
+def _power_row_sums(gamma: int) -> Callable:
+    """|u - v|^gamma for integer gamma, by binomial expansion.
+
+    On the median-centered sorted sample w = v - v[n//2], a row sum of
+    (w_k - w_j)^p over a set of j needs only the sums of w_j^i over that
+    set. For even gamma the set is every j, so the moments of w serve. For
+    odd gamma the sign flips above k: S is the expansion over j < k minus
+    the one over j > k, from prefix and suffix sums (Huo & Szekely 2016 for
+    gamma = 1). Q always expands the even degree 2 gamma over the moments.
+    """
+
+    def row_sums(v: np.ndarray, squares: bool):
+        n = v.size
+        w = v - v[n // 2]
+        powers = [1.0, w]
+        while len(powers) <= (2 * gamma if squares else gamma):
+            powers.append(powers[-1] * w)
+        moments = [n] + [float(np.sum(x)) for x in powers[1:]]
+        if gamma % 2:
+            k = np.arange(n)
+            below_minus_above = [2 * k - (n - 1)] + [
+                _exclusive_cumsum(x) - _exclusive_cumsum(x[::-1])[::-1]
+                for x in powers[1 : gamma + 1]
+            ]
+            sums = _binomial(gamma, powers, below_minus_above)
+        else:
+            sums = _binomial(gamma, powers, moments)
+        return sums, _binomial(2 * gamma, powers, moments) if squares else None
+
+    return row_sums
 
 
 def _expsq_row_sums(v: np.ndarray, squares: bool):
-    # contiguous input: np.exp then returns the same bits as Kernel.eval
-    a = np.exp(v)
-    return _moment_row_sums(a - np.mean(a), squares)
+    # (e^y - e^z)^2 is |a - b|^2 with a = e^y; for contiguous input np.exp
+    # returns the same bits as Kernel.eval
+    return _power_row_sums(2)(np.exp(v), squares)
 
 
 def _decayed_cumsum(v: np.ndarray, rate: float, a: np.ndarray) -> np.ndarray:
@@ -263,7 +243,7 @@ def make_kernel(name: str, **params) -> Kernel:
             params={"gamma": gamma},
             eval=_power_eval(gamma),
             closed_form_ch=2.0 / ((gamma + 1.0) * (gamma + 2.0)),
-            row_sums={1.0: _abs_row_sums, 2.0: _square_row_sums, 3.0: _cube_row_sums}.get(gamma),
+            row_sums=_power_row_sums(int(gamma)) if gamma in (1.0, 2.0, 3.0) else None,
         )
     if name == "exp":
         beta = _require_positive_finite(params.pop("beta"), "beta")
@@ -413,9 +393,6 @@ def kernel_row_sums(u, kernel: Kernel, squares: bool = False):
     v = u[order]
     if kernel.row_sums is None:
         sorted_sums = _blocked_row_sums(v, kernel.eval, squares)
-    elif v[0] == v[-1]:
-        # every pair sits on the diagonal, where a hooked kernel is exactly 0
-        sorted_sums = (np.zeros(v.size), np.zeros(v.size) if squares else None)
     else:
         sorted_sums = kernel.row_sums(v, squares)
     position = np.empty_like(order)

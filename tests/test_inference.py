@@ -105,12 +105,12 @@ def test_ustat_permutation_invariant_bitwise():
 
 
 def test_ustat_converges_to_closed_form_empirical():
-    # rank-based moments at n=5000 across 20 independent continuous samples
-    for rep in range(20):
-        ys = np.random.default_rng(3000 + rep).random(5000)
-        est = sigma2_ustat(ys, POWER1, empirical_map(ys))
-        assert est.source == "ustat_rank"
-        assert abs(est.sigma2 - 0.4) <= 0.05
+    # rank-based moments at n=5000: ranks / n of continuous y are
+    # 1/n, ..., 1 whatever the sample, and miss the limit 2/5 by about 0.6/n
+    ys = np.random.default_rng(3000).random(5000)
+    est = sigma2_ustat(ys, POWER1, empirical_map(ys))
+    assert est.source == "ustat_rank"
+    assert abs(est.sigma2 - 0.4) <= 1e-3 * 0.4
 
 
 def test_ustat_converges_to_closed_form_plugin():

@@ -13,9 +13,10 @@ Tolerances, relative to the oracle:
   which leaves room for the cancellation in its numerator.
 
 The oracle is too slow beyond a few hundred points, while the rounding error
-of the prefix sums grows with n; the power:3 identity is also checked at
-n=5000 against the blocked path, under the same tolerances, which
-``kernel_row_sums`` also promises for every single row.
+of the prefix sums grows with n; the integer-power routine (power:1,
+power:2, power:3 and expsq) is also checked at n=5000 against the blocked
+path, under the same tolerances, which ``kernel_row_sums`` also promises for
+every single row.
 """
 
 import math
@@ -129,14 +130,23 @@ def test_ustat_moments_match_fsum_oracle(u, kernel):
     assert sigma2_ustat(u[::-1], kernel, IDENTITY).components == est.components
 
 
+CONSTANT_SAMPLES = {
+    "0.0": np.full(50, 0.0),
+    "0.3": np.full(50, 0.3),
+    "1.0": np.full(50, 1.0),
+    "-0.0": np.full(50, -0.0),
+    "mixed-zero": np.tile([0.0, -0.0], 25),
+}
+
+
 @pytest.mark.parametrize("kernel", STUDY_KERNELS, ids=lambda k: k.label())
-@pytest.mark.parametrize("value", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("value", list(CONSTANT_SAMPLES))
 def test_constant_sample_is_exactly_degenerate(kernel, value):
-    u = np.full(50, value)
+    u = CONSTANT_SAMPLES[value]
     sums, squares = kernel_row_sums(u, kernel, squares=True)
     assert np.all(sums == 0.0) and np.all(squares == 0.0)
     result = xi_plugin(PairedSample(xs=np.arange(50.0), ys=u), kernel, IDENTITY)
-    assert result.normalization == 0.0
+    assert repr(result.normalization) == "0.0"
     assert result.xi == 1.0
     with pytest.raises(DegenerateDataError, match="degenerate Y"):
         sigma2_ustat(u, kernel, IDENTITY)
@@ -161,8 +171,10 @@ def test_row_sums_follow_input_order(kernel):
     np.testing.assert_allclose(squares, np.square(values).sum(axis=1), rtol=1e-13)
 
 
-#: |y - z|^3 without a row-sum hook: summed on the blocked path
-BLOCKED_CUBE = custom_kernel("cube", lambda y, z: np.abs(y - z) ** 3)
+#: the kernels served by the integer-power routine
+POWER_ROUTINE_KERNELS = [make_kernel("power", gamma=g) for g in (1.0, 2.0, 3.0)] + [
+    make_kernel("expsq")
+]
 #: F(y) = y on the whole line, so that samples may leave [0, 1]
 RAW = DistMap(kind="identity", eval=lambda t: np.asarray(t, dtype=float))
 LARGE_N = 5000
@@ -177,23 +189,37 @@ LARGE_SAMPLES = {
 }
 
 
+@pytest.mark.parametrize("kernel", POWER_ROUTINE_KERNELS, ids=lambda k: k.label())
 @pytest.mark.parametrize("shape", sorted(LARGE_SAMPLES))
-def test_cube_hook_matches_blocked_path_at_large_n(shape):
+def test_power_routine_matches_blocked_path_at_large_n(shape, kernel):
     u = LARGE_SAMPLES[shape](np.random.default_rng(17))
-    cube = make_kernel("power", gamma=3.0)
-    assert cube.row_sums is not None  # otherwise both sides are the blocked path
+    if kernel.name == "expsq" and shape == "offset":
+        # e^(1e3 + U) overflows in Kernel.eval itself. An offset c only
+        # scales e^u by e^c, and h^2 ~ e^(4c) must stay finite: c = 50.
+        u = u - 950.0
+    assert kernel.row_sums is not None  # otherwise both sides are the blocked path
+    # the same eval without a row-sum hook: summed on the blocked path
+    blocked = custom_kernel(f"blocked {kernel.label()}", kernel.eval)
     for got, exact in zip(
-        kernel_row_sums(u, cube, squares=True), kernel_row_sums(u, BLOCKED_CUBE, squares=True)
+        kernel_row_sums(u, kernel, squares=True), kernel_row_sums(u, blocked, squares=True)
     ):
         np.testing.assert_allclose(got, exact, rtol=MOMENT_REL_TOL, atol=0.0)
     sample = PairedSample(xs=np.arange(LARGE_N, dtype=float), ys=u)
-    chi = xi_plugin(sample, cube, RAW).normalization
-    assert_close(chi, xi_plugin(sample, BLOCKED_CUBE, RAW).normalization, CHI_REL_TOL, "chi")
-    est = sigma2_ustat(u, cube, RAW)
-    blocked = sigma2_ustat(u, BLOCKED_CUBE, RAW)
-    for name, got, exact in zip("mqr", est.components, blocked.components):
-        assert_close(got, exact, MOMENT_REL_TOL, name)
-    assert_close(est.sigma2, blocked.sigma2, SIGMA2_REL_TOL, "sigma2")
+    chi = xi_plugin(sample, kernel, RAW).normalization
+    assert_close(chi, xi_plugin(sample, blocked, RAW).normalization, CHI_REL_TOL, "chi")
+    est = sigma2_ustat(u, kernel, RAW)
+    exact = sigma2_ustat(u, blocked, RAW)
+    for name, got, want in zip("mqr", est.components, exact.components):
+        assert_close(got, want, MOMENT_REL_TOL, name)
+    assert_close(est.sigma2, exact.sigma2, SIGMA2_REL_TOL, "sigma2")
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 0.5, 1.5, 2.0000001, 4.0])
+def test_exact_path_only_for_checked_exponents(gamma):
+    # only gamma = 1, 2, 3 are checked against the blocked path above;
+    # other exponents must not silently take the expansion
+    has_hook = make_kernel("power", gamma=gamma).row_sums is not None
+    assert has_hook == (gamma in (1.0, 2.0, 3.0))
 
 
 def test_exp_row_sums_for_steep_kernels():
