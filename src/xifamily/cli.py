@@ -12,6 +12,7 @@ import contextlib
 import csv
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,12 +44,80 @@ class CsvTable:
 
 
 def load_csv(path) -> CsvTable:
-    """Read a rectangular numeric CSV with a header row."""
-    with open(path, newline="") as fh:
+    """Read a numeric CSV: a header row, then a rectangular table.
+
+    The contract: the first row names the columns, each name stripped of
+    surrounding space; a UTF-8 byte-order mark before it is dropped and a
+    repeated name is refused. Every later row has one cell per name, and
+    every cell is a finite number as Python's ``float`` reads it. A blank
+    line is a row of no cells, so it is refused too.
+
+    numpy parses the data rows in one pass. Its result is kept only when it
+    has one row per line, one column per name and finite values alone.
+    Anything else, from a blank line or ragged row to a quoted cell, ``1_0``
+    or non-ASCII digits, goes to the cell loop: the only code that words an
+    error, and the only one that reads the cells numpy refuses.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header = next(csv.reader(fh), None)
+        if header is not None:
+            headers = _headers(path, header)
+            values = _numeric_rows(fh, len(headers))
+            if values is not None:
+                columns = dict(zip(headers, values.T.copy()))
+                return CsvTable(headers=headers, columns=columns, n_rows=len(values))
+    return _load_csv_cells(path)
+
+
+def _numeric_rows(fh, width):
+    """The rest of ``fh`` as a (lines, width) array of finite floats, else None."""
+    lines = _CountedLines(fh)
+    try:
+        with warnings.catch_warnings():
+            # numpy warns when no row follows the header
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape != (lines.count, width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+class _CountedLines:
+    """The lines left in a file, counted as they are read."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.count = 0
+
+    def __iter__(self):
+        for line in self.fh:
+            self.count += 1
+            yield line
+
+
+def _headers(path, row) -> list:
+    headers = [h.strip() for h in row]
+    _refuse_duplicates(headers, str(path))
+    return headers
+
+
+def _refuse_duplicates(names, where):
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"{where}: duplicate column name {name!r}")
+        seen.add(name)
+
+
+def _load_csv_cells(path) -> CsvTable:
+    """``load_csv`` one cell at a time with Python ``float``, naming the first bad cell."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
-    headers = [h.strip() for h in rows[0]]
+    headers = _headers(path, rows[0])
     width = len(headers)
     data = [[] for _ in headers]
     for r, row in enumerate(rows[1:], start=2):
@@ -136,6 +205,7 @@ def cmd_rank(args) -> int:
         xs = np.arange(1, table.n_rows + 1, dtype=float)
     if args.y_col is not None:
         names = [c.strip() for c in args.y_col.split(",")]
+        _refuse_duplicates(names, "--y-col")
         for name in names:
             _column(table, name)
     else:

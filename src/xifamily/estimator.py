@@ -130,15 +130,22 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
 def ranks(ys) -> np.ndarray:
     """Max-rank of each value: R_i = #{j : y_j <= y_i}.
 
-    One argsort, then a binary search of the sorted values for themselves
-    (in order, so it stays in cache): O(n log n). NaNs rank above every
-    number, all of them at the count of values.
+    One argsort, then O(n): without ties the sorted positions 1..n are the
+    ranks; with ties each value gets the end of its tied block. NaNs sort
+    last and form one block, so all of them rank at the count of values.
     """
     ys = np.asarray(ys, dtype=float)
     order = np.argsort(ys)
     ordered = ys[order]
+    tied = ordered[1:] == ordered[:-1]
+    tied[ordered.searchsorted(np.nan):] = True  # NaN != NaN, but they share a block
+    positions = np.arange(1, ys.size + 1)
+    if tied.any():
+        # a value with an equal successor takes the next block end
+        positions[:-1][tied] = ys.size
+        positions = np.minimum.accumulate(positions[::-1])[::-1]
     out = np.empty(ys.size, dtype=np.intp)
-    out[order] = np.searchsorted(ordered, ordered, side="right")
+    out[order] = positions
     return out
 
 

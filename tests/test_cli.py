@@ -1,14 +1,19 @@
 import csv
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import xifamily
-from xifamily.cli import load_csv, main
+from xifamily import cli
+from xifamily.cli import CsvTable, load_csv, main
 
 
 def write_csv(path, headers, columns):
@@ -42,6 +47,205 @@ def test_load_csv_reports_ragged_row(tmp_path):
     path.write_text("x,y\n1,2\n3\n")
     with pytest.raises(ValueError, match="row 3"):
         load_csv(path)
+
+
+def load_csv_cells_oracle(path) -> CsvTable:
+    """The cell loop ``load_csv`` ran before numpy parsed the rows, kept verbatim."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    headers = [h.strip() for h in rows[0]]
+    width = len(headers)
+    data = [[] for _ in headers]
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+        for c, cell in enumerate(row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: non-numeric cell at row {r}, column {headers[c]!r}: {cell!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"{path}: non-finite cell at row {r}, column {headers[c]!r}: {cell!r}"
+                )
+            data[c].append(value)
+    columns = {h: np.asarray(col, dtype=float) for h, col in zip(headers, data)}
+    return CsvTable(headers=headers, columns=columns, n_rows=len(rows) - 1)
+
+
+def load_outcome(loader, path):
+    """A table as headers, row count and column bytes, or the error text."""
+    try:
+        table = loader(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    columns = [
+        (name, col.dtype.str, col.shape, col.tobytes()) for name, col in table.columns.items()
+    ]
+    return ("table", table.headers, table.n_rows, columns)
+
+
+def assert_loads_like_oracle(path):
+    assert load_outcome(load_csv, path) == load_outcome(load_csv_cells_oracle, path)
+
+
+def write_text(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.25g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.3e}"),
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(0, 10**20), st.integers(-320, 308)).map(lambda t: f"{t[0]}e{t[1]}"),
+    st.sampled_from(
+        ["-0.0", "0", "+1.5", ".5", "5.", "1e-400", "0.1000000000000000055511151231257827"]
+    ),
+)
+ODD_CELLS = st.one_of(
+    NUMERIC_CELLS.map(lambda c: f" {c}\t"),
+    NUMERIC_CELLS.map(lambda c: f'"{c}"'),
+    st.sampled_from(["1_0", "", "nan", "inf", "-inf", "1e400", "oops", "\u0661\u0662", " "]),
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 3))
+    headers = [draw(st.sampled_from([f"c{c}", f" c{c} ", f'"c{c}"'])) for c in range(width)]
+    clean = draw(st.booleans())
+    cell = NUMERIC_CELLS if clean else st.one_of(NUMERIC_CELLS, ODD_CELLS)
+    lines = [",".join(headers)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = "row" if clean else draw(st.sampled_from(["row", "row", "row", "blank", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        else:
+            cells = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+            lines.append(",".join(draw(cell) for _ in range(max(cells, 0))))
+    end = draw(LINE_ENDS)
+    text = end.join(lines)
+    if draw(st.booleans()):
+        text += end
+    if not clean and draw(st.booleans()):
+        text += end  # a trailing blank line
+    return text
+
+
+@given(csv_texts())
+@settings(
+    max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_load_csv_equals_cell_loop_oracle(tmp_path, text):
+    assert_loads_like_oracle(write_text(tmp_path / "gen.csv", text))
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n1,2\n\n3,4\n",        # blank line in the middle
+    "x,y\n1,2\n3,4\n\n",        # trailing blank line
+    "x,y\r\n1,2\r\n\r\n3,4\r\n",  # blank line, CRLF
+    "x,y\n1,2\n3\n",           # ragged row
+    "x,y\n1,2,3\n",             # ragged row, one cell too many
+    "x,y\n1,nan\n",
+    "x,y\n1,inf\n",
+    "x,y\n1,-inf\n",
+    "x,y\n1,1e400\n",
+    "x,y\n",                     # header only
+    "x,y",                        # header only, no line end
+    "",                           # empty file
+    "x,y\n1,2\n",               # a single row
+    "x\n7\n",                   # a single cell
+    "x,y\r\n1,2\r\n3,4\r\n",
+    "x,y\r1,2\r3,4\r",
+    "x,y\n\"1\",2\n",
+    "x,y\n1_0,2\n",
+    "x,y\n\u0661,2\n",
+    "x,y\n 1 ,\t2\n",
+    "x,y\n1,\n",
+    "x,y\n  \n",
+    "x\n1\n\n",
+])
+def test_load_csv_known_cases_equal_oracle(tmp_path, text):
+    assert_loads_like_oracle(write_text(tmp_path / "case.csv", text))
+
+
+def test_load_csv_parses_clean_file_without_cell_loop(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    path = write_csv(tmp_path / "clean.csv", ["a", "b"], [rng.normal(size=50), rng.random(50)])
+    expected = load_outcome(load_csv_cells_oracle, path)
+
+    def refuse(path):
+        raise AssertionError("the cell loop ran on a clean file")
+
+    monkeypatch.setattr(cli, "_load_csv_cells", refuse)
+    assert load_outcome(load_csv, path) == expected
+
+
+def test_load_csv_header_only_is_silent(tmp_path):
+    path = write_text(tmp_path / "header.csv", "x,y\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_csv(path)
+    assert table.headers == ["x", "y"]
+    assert table.n_rows == 0
+
+
+def test_load_csv_drops_utf8_bom(tmp_path, capsys):
+    rows = "x,y\n1,0.5\n2,0.25\n3,0.75\n"
+    plain = write_text(tmp_path / "plain.csv", rows)
+    bom = tmp_path / "bom.csv"
+    bom.write_text(rows, encoding="utf-8-sig")
+    assert load_csv(bom).headers == ["x", "y"]
+    assert load_outcome(load_csv, bom) == load_outcome(load_csv, plain)
+    outputs = []
+    for path in (plain, bom):
+        code = main(["compute", "--file", str(path), "--x-col", "x", "--y-col", "y"])
+        assert code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_load_csv_refuses_duplicate_column_names(tmp_path, capsys):
+    path = write_text(tmp_path / "dup.csv", "a,a,b\n1,5,2\n2,6,1\n3,7,3\n")
+    with pytest.raises(ValueError, match="duplicate column name 'a'"):
+        load_csv(path)
+    assert main(["rank", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: duplicate column name 'a'\n"
+
+
+def test_rank_refuses_duplicate_y_col(tmp_path, capsys):
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], [[1.0, 2.0, 3.0], [0.2, 0.8, 0.5]])
+    code = main(["rank", "--file", path, "--x-col", "x", "--y-col", "y,y"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --y-col: duplicate column name 'y'\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "{path}: empty file"),
+    ("x,y\n1,2\n3\n", "{path}: row 3 has 1 cells, expected 2"),
+    ("x,y\n1,2\n\n", "{path}: row 3 has 0 cells, expected 2"),
+    ("x,y\n1,2\n3,oops\n", "{path}: non-numeric cell at row 3, column 'y': 'oops'"),
+    ("x,y\n1,2\n1e400,4\n", "{path}: non-finite cell at row 3, column 'x': '1e400'"),
+])
+def test_load_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
+    path = write_text(tmp_path / "err.csv", text)
+    code = main(["compute", "--file", str(path), "--x-col", "x", "--y-col", "y"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: " + message.format(path=path) + "\n"
 
 
 # ---------------------------------------------------------------- compute
@@ -280,3 +484,20 @@ def test_import_does_not_load_scipy_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_python_m_xifamily_runs_the_cli(tmp_path, capsys):
+    rng = np.random.default_rng(4)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], [rng.random(30), rng.random(30)])
+    argv = ["compute", "--file", path, "--x-col", "x", "--y-col", "y", "--variant", "rank"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    src = str(Path(xifamily.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "xifamily", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
