@@ -50,7 +50,8 @@ def load_csv(path) -> CsvTable:
     surrounding space; a UTF-8 byte-order mark before it is dropped and a
     repeated name is refused. Every later row has one cell per name, and
     every cell is a finite number as Python's ``float`` reads it. A blank
-    line is a row of no cells, so it is refused too.
+    line is a row of no cells, so it is refused too, and so is a row the
+    ``csv`` module cannot read, such as a cell past its field size limit.
 
     numpy parses the data rows in one pass. Its result is kept only when it
     has one row per line, one column per name and finite values alone.
@@ -59,7 +60,10 @@ def load_csv(path) -> CsvTable:
     error, and the only one that reads the cells numpy refuses.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:
+            header = None  # the cell loop words it
         if header is not None:
             headers = _headers(path, header)
             values = _numeric_rows(fh, len(headers))
@@ -113,8 +117,13 @@ def _refuse_duplicates(names, where):
 
 def _load_csv_cells(path) -> CsvTable:
     """``load_csv`` one cell at a time with Python ``float``, naming the first bad cell."""
+    rows = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            for row in csv.reader(fh):
+                rows.append(row)
+        except csv.Error as exc:
+            raise ValueError(f"{path}: row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     headers = _headers(path, rows[0])
@@ -369,3 +378,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -23,11 +23,12 @@ All operations are pure functions of (sample, seed). chi is built from the
 off-diagonal row sums of ``kernels.kernel_row_sums``: exact O(n log n)
 identities for the builtin kernels (one integer-power routine for power:1,
 power:2 and power:3, and for expsq as power:2 on e^u; a decayed-sum
-recurrence for exp), blocked O(n^2) sums otherwise. The row sums are added
-with exactly rounded summation (math.fsum), so chi is deterministic,
-independent of the order of the sample, and within 1e-12 relative of the
-exactly rounded sum of all n^2 kernel values (the tolerance the tests check
-against a row-loop oracle).
+recurrence for exp), blocked O(n^2) sums otherwise. zeta's kernel values and
+chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
+returns math.fsum's value bit for bit, so chi is deterministic, independent
+of the order of the sample, and within 1e-12 relative of the exactly rounded
+sum of all n^2 kernel values (the tolerance the tests check against a
+row-loop oracle).
 """
 
 from __future__ import annotations
@@ -149,10 +150,54 @@ def ranks(ys) -> np.ndarray:
     return out
 
 
+#: below this many values math.fsum beats the numpy call overhead of _fsum
+#: (crossover measured at 700-900 on a 2-core Xeon); from 2^26 values on the
+#: exponent bins could pass 2^53 and lose bits
+_EXACT_SUM_SIZES = range(1000, 2**26)
+
+
 def _fsum(values: np.ndarray) -> float:
-    # math.fsum is exactly rounded, hence order-independent; tolist() keeps
-    # it on the fast C path.
-    return math.fsum(values.tolist())
+    """The exactly rounded sum of a float array: ``math.fsum``'s value, bit for bit.
+
+    Exponent-binned exact accumulation (Neal 2015, arXiv:1505.05571). Each
+    finite value is m * 2^e with |m| in [0.5, 1), and m * 2^53 is an integer
+    M below 2^53 (subnormals included). M splits exactly into
+    hi * 2^27 + lo with hi = floor(m * 2^26) and lo = M - hi * 2^27 in
+    [0, 2^27). One ``bincount`` per half adds them by exponent; with fewer
+    than 2^26 terms every partial bin sum is an integer below 2^53, so the
+    float bins are exact. The few non-empty bins are joined into one Python
+    int, and a single correctly rounded int-to-float step gives the result.
+
+    ``math.fsum`` (also the oracle of the tests) serves everything else:
+    arrays outside ``_EXACT_SUM_SIZES``, non-finite values, sums whose
+    magnitude could reach the float limit (``math.fsum`` raises on an
+    intermediate overflow, the bins would not) and sums that are exactly
+    zero, whose sign is ``math.fsum``'s to choose.
+    """
+    if values.size not in _EXACT_SUM_SIZES:
+        return math.fsum(values.tolist())
+    mantissas, exponents = np.frexp(values)
+    low = int(exponents.min())
+    bins = np.subtract(exponents, low, dtype=np.intp)
+    hi = np.multiply(mantissas, 2.0**26)
+    np.floor(hi, out=hi)
+    hi_sums = np.bincount(bins, weights=hi)
+    high = low + hi_sums.size - 1
+    # inf and nan land in hi's bins; check before lo would compute inf - inf
+    if high + values.size.bit_length() >= 1024 or not np.isfinite(hi_sums).all():
+        return math.fsum(values.tolist())
+    mantissas *= 2.0**53
+    hi *= 2.0**27
+    mantissas -= hi
+    lo_sums = np.bincount(bins, weights=mantissas)
+    total = 0
+    for shift, hi_sum, lo_sum in zip(range(hi_sums.size), hi_sums.tolist(), lo_sums.tolist()):
+        if hi_sum or lo_sum:
+            total += ((int(hi_sum) << 27) + int(lo_sum)) << shift
+    if total == 0:
+        return math.fsum(values.tolist())
+    scale = low - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
 
 
 def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
@@ -250,7 +295,8 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
     rank_gaps = np.abs(np.diff(ranks(sample.ys)[permutation]))
-    gap_sum = _fsum(rank_gaps.astype(float))
+    # an exact integer sum, rounded once like fsum (int64 holds it below n ~ 3e9)
+    gap_sum = float(rank_gaps.sum())
     normalization = (sample.n**2 - 1) / 3.0
     return CoefficientResult(
         xi=1.0 - gap_sum / normalization,

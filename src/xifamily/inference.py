@@ -18,7 +18,9 @@ distinct index pairs and triples, computed from the row sums of
 
 in O(n log n) for the builtin kernels (one integer-power routine for
 power:1, power:2 and power:3, and for expsq as power:2 on e^u; a
-decayed-sum recurrence for exp) and in blocked O(n^2) otherwise.
+decayed-sum recurrence for exp) and in blocked O(n^2) otherwise. The rows
+are added with ``estimator._fsum``, which returns math.fsum's exactly
+rounded value.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -35,7 +37,7 @@ import numpy as np
 
 from .cdf import DistMap, empirical_map
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _has_ties, coefficient
+from .estimator import PairedSample, _fsum, _has_ties, coefficient
 from .kernels import Kernel, kernel_row_sums, make_kernel
 
 __all__ = [
@@ -109,7 +111,8 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
         q = sum_{i != j} h_ij^2 / (n(n-1))
         r = sum_i (S_i^2 - Q_i) / (n(n-1)(n-2))
     with S_i and Q_i the row sums of h and h^2 over j != i
-    (``kernel_row_sums``), added across rows with exactly rounded summation.
+    (``kernel_row_sums``), added across rows with exactly rounded summation
+    (``estimator._fsum``).
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.size
@@ -118,9 +121,9 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
     u = np.asarray(dist.eval(ys), dtype=float)
     row_sums, row_sq_sums = kernel_row_sums(u, kernel, squares=True)
     pairs = n * (n - 1)
-    m = math.fsum(row_sums.tolist()) / pairs
-    q = math.fsum(row_sq_sums.tolist()) / pairs
-    r = math.fsum((row_sums**2 - row_sq_sums).tolist()) / (pairs * (n - 2))
+    m = _fsum(row_sums) / pairs
+    q = _fsum(row_sq_sums) / pairs
+    r = _fsum(row_sums**2 - row_sq_sums) / (pairs * (n - 2))
     if m == 0.0:
         raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sigma2 = (q - 2.0 * r + m * m) / (m * m)

@@ -232,12 +232,28 @@ def test_rank_refuses_duplicate_y_col(tmp_path, capsys):
     assert captured.err == "error: --y-col: duplicate column name 'y'\n"
 
 
+FIELD_LIMIT = csv.field_size_limit()
+LONG_CELL = "0" * (FIELD_LIMIT + 1)
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "{path}: empty file"),
     ("x,y\n1,2\n3\n", "{path}: row 3 has 1 cells, expected 2"),
     ("x,y\n1,2\n\n", "{path}: row 3 has 0 cells, expected 2"),
     ("x,y\n1,2\n3,oops\n", "{path}: non-numeric cell at row 3, column 'y': 'oops'"),
     ("x,y\n1,2\n1e400,4\n", "{path}: non-finite cell at row 3, column 'x': '1e400'"),
+    # the csv module refuses a cell past its field size limit: numpy reads the
+    # long cell, so a bad row after it sends the file to the cell loop
+    pytest.param(
+        f"x,y\n1,{LONG_CELL}\n3,oops\n",
+        f"{{path}}: row 2: field larger than field limit ({FIELD_LIMIT})",
+        id="long-cell",
+    ),
+    pytest.param(
+        f"x,{LONG_CELL}\n1,2\n",
+        f"{{path}}: row 1: field larger than field limit ({FIELD_LIMIT})",
+        id="long-header",
+    ),
 ])
 def test_load_errors_exit_2_with_one_line(tmp_path, capsys, text, message):
     path = write_text(tmp_path / "err.csv", text)
@@ -495,9 +511,10 @@ def test_python_m_xifamily_runs_the_cli(tmp_path, capsys):
     env = dict(os.environ)
     src = str(Path(xifamily.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "xifamily", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == expected
+    for module in ("xifamily", "xifamily.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected, module

@@ -232,6 +232,17 @@ def test_chatterjee_hand_case():
     assert chatterjee_reference(s).xi == pytest.approx(-1.0 / 8.0, abs=1e-14)
 
 
+def test_chatterjee_gap_sum_equals_fsum_of_gaps():
+    # the integer gap sum must round like the exactly rounded float sum
+    rng = np.random.default_rng(6)
+    n = 20_000
+    s = sample(rng.random(n), rng.random(n))
+    gaps = np.abs(np.diff(ranks(s.ys)[order_by_x(s)]))
+    result = chatterjee_reference(s)
+    assert result.zeta == math.fsum(gaps.astype(float).tolist())
+    assert result.xi == 1.0 - result.zeta / ((n**2 - 1) / 3.0)
+
+
 def test_chatterjee_rejects_tied_x():
     s = sample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateDataError, match="xi_rank"):

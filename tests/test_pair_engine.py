@@ -1,5 +1,8 @@
 """The pairwise-kernel engine against the exactly rounded row-loop oracle.
 
+The library adds its sums with ``estimator._fsum``, which must return
+``math.fsum``'s value bit for bit; the last section checks that first.
+
 ``kernel_row_sums`` serves chi (``xi_plugin`` / ``xi_rank``) and the
 U-statistic moments (``sigma2_ustat``) through exact fast paths for the
 builtin kernels and a blocked path for everything else. The oracle below is
@@ -29,8 +32,16 @@ from scipy.stats import rankdata
 
 from xifamily.cdf import DistMap, uniform_map
 from xifamily.errors import DegenerateDataError, NumericError
-from xifamily.estimator import PairedSample, _average_ranks, xi_plugin
-from xifamily.inference import sigma2_ustat
+from xifamily.estimator import (
+    _EXACT_SUM_SIZES,
+    PairedSample,
+    _average_ranks,
+    _fsum,
+    order_by_x,
+    ranks,
+    xi_plugin,
+)
+from xifamily.inference import independence_test, sigma2_ustat
 from xifamily.kernels import custom_kernel, kernel_row_sums, make_kernel
 
 CHI_REL_TOL = 1e-12
@@ -250,3 +261,120 @@ def test_average_ranks_equal_scipy_bitwise(values):
     values = np.asarray(values, dtype=float)
     assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
 
+
+
+# ------------------------------------------------------------ exact sums
+
+
+def fsum_outcome(total, values):
+    """The bits of ``total(values)``, or the type of what it raised."""
+    try:
+        return np.float64(total(values)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def math_fsum(values):
+    return math.fsum(values.tolist())
+
+
+@st.composite
+def float_arrays(draw):
+    """Arrays on both sides of the numpy path's size bounds, in awkward shapes."""
+    n = draw(st.one_of(
+        st.sampled_from([999, 1000, 1001]), st.integers(2, 999), st.integers(1000, 5000)
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "wide", "subnormal", "cancel", "zeros", "grid"]))
+    signs = rng.choice([-1.0, 1.0], n)
+    if shape == "uniform":
+        return rng.random(n)
+    if shape == "wide":
+        # exponents from the smallest subnormal up: to 2^1000 the numpy path
+        # runs, to the largest normal the sum could overflow and math.fsum runs
+        top = draw(st.sampled_from([1000, 1024]))
+        return np.ldexp(signs * (1.0 + rng.random(n)), rng.integers(-1075, top, n))
+    if shape == "subnormal":
+        return signs * rng.integers(0, 2**52, n) * 5e-324
+    if shape == "cancel":
+        # mixed magnitudes and signs that cancel exactly, up to one or two
+        # leftovers that may be zeros or tiny
+        k = (n - 1) // 2
+        half = signs[:k] * np.ldexp(rng.random(k), rng.integers(-60, 60, k))
+        rest = rng.choice([0.0, -0.0, 5e-324, -1.0, 2.0**-1000], n - 2 * k)
+        values = np.concatenate((half, -half, rest))
+        rng.shuffle(values)
+        return values
+    if shape == "zeros":
+        return signs * 0.0
+    return rng.integers(1, n + 1, n) / n
+
+
+@given(float_arrays())
+@example(np.full(1000, -0.0))
+@example(np.ldexp(1.0, np.linspace(-1074, 1000, 1000).astype(int)))
+@example(np.ldexp(1.0, np.linspace(-1074, 1023, 1000).astype(int)))
+@settings(max_examples=600, deadline=None)
+def test_fsum_equals_math_fsum_bitwise(values):
+    assert fsum_outcome(_fsum, values) == fsum_outcome(math_fsum, values)
+
+
+@pytest.mark.parametrize("special", [
+    [np.inf], [-np.inf], [np.nan], [np.inf, -np.inf], [np.inf, np.nan],
+    # overflow, and an intermediate one math.fsum raises though the sum is finite
+    [1e308] * 2, [1.7e308, 1.7e308, -1.7e308],
+], ids=repr)
+@pytest.mark.parametrize("n", [10, 1000, 5000])
+def test_fsum_non_finite_and_overflow_as_math_fsum(special, n):
+    values = np.random.default_rng(3).random(n)
+    values[: len(special)] = special
+    assert fsum_outcome(_fsum, values) == fsum_outcome(math_fsum, values)
+    if math.isfinite(special[0]):  # the overflow cases
+        with pytest.raises(OverflowError):
+            _fsum(values)
+
+
+def test_fsum_large_arrays_do_not_call_math_fsum(monkeypatch):
+    # without this, a size bound set too high would leave the numpy path untested
+    values = np.random.default_rng(8).random(5000)
+    want = math_fsum(values)
+    # the bins are exact only while size * 2^27 stays within 2^53
+    assert _EXACT_SUM_SIZES.stop * 2**27 <= 2**53
+
+    def refuse(_):
+        raise AssertionError("math.fsum called")
+
+    monkeypatch.setattr(math, "fsum", refuse)
+    assert _fsum(values) == want
+    with pytest.raises(AssertionError, match="math.fsum called"):
+        _fsum(values[:999])
+
+
+def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
+    n = 100_000
+    rng = np.random.default_rng(12)
+    xs = rng.random(n)
+    sample = PairedSample(xs=xs, ys=xs + rng.standard_normal(n))
+    kernel = make_kernel("power", gamma=1.0)
+    u = ranks(sample.ys) / n
+    u_ordered = u[order_by_x(sample)]
+    zeta = math_fsum(kernel.eval(u_ordered[:-1], u_ordered[1:])) / n
+
+    # closed-form variance: z depends on the sum through zeta alone
+    result = independence_test(sample, kernel, "simplified", continuous_y=True)
+    sigma2 = result.sigma2_used.sigma2
+    xi = 1.0 - zeta / kernel.closed_form_ch
+    assert result.z == math.sqrt(n) * xi / math.sqrt(sigma2)
+
+    # U-statistic variance: chi, m, q and r are sums of 1e5 row sums
+    result = independence_test(sample, kernel, "rank")
+    sums, squares = kernel_row_sums(u, kernel, squares=True)
+    pairs = n * (n - 1)
+    m = math_fsum(sums) / pairs
+    q = math_fsum(squares) / pairs
+    r = math_fsum(sums**2 - squares) / (pairs * (n - 2))
+    assert result.sigma2_used.components == (m, q, r)
+    sigma2 = (q - 2.0 * r + m * m) / (m * m)
+    assert result.sigma2_used.sigma2 == sigma2
+    xi = 1.0 - zeta / (math_fsum(sums) / (n * n))
+    assert result.z == math.sqrt(n) * xi / math.sqrt(sigma2)
