@@ -13,13 +13,19 @@ zeta is small when y tracks x; chi calibrates xi to 0 under independence.
 The rank variant substitutes the empirical CDF (F(y) = rank/n), and the
 simplified variant replaces chi by the constant C_h = integral of h over
 the unit square, valid for continuous y, dropping the cost from O(n^2) to
-O(n log n). With h = |y - z| the simplified variant is, up to the
-(n^2-1)/3 vs n^2/3 denominator, Chatterjee's rank correlation, which is
-also provided directly as a reference. ``coefficient`` selects a member
-by its name in ``VARIANTS``; the CLI, the simulation harness and the
-independence test all go through it.
+O(n log n). With h = |y - z| and distinct y the simplified variant is, up
+to the (n^2-1)/3 vs n^2/3 denominator, Chatterjee's rank correlation,
+which is also provided directly as a reference. ``coefficient`` selects a
+member by its name in ``VARIANTS``; the CLI, the simulation harness and
+the independence test all go through it.
 
-All operations are pure functions of (sample, seed). chi is built from the
+All operations are pure functions of (sample, seed). The x-order, the
+ranks and the row sums each take one sort, ``_sorting.sort_order``: numpy's
+argsort for small samples and numpy's SIMD integer sort of packed
+(value, index) keys for large ones, checked and repaired so that the order
+is argsort's wherever the values are distinct. The rank-based variants record
+in ``y_tied`` whether their max-ranks saw tied y, which the independence
+test reuses instead of sorting y again. chi is built from the
 off-diagonal row sums of ``kernels.kernel_row_sums``: exact O(n log n)
 identities for the builtin kernels (one integer-power routine for power:1,
 power:2 and power:3, and for expsq as power:2 on e^u; a decayed-sum
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sorting import sort_order
 from .cdf import DistMap, empirical_map
 from .errors import DegenerateDataError, NumericError
 from .kernels import Kernel, kernel_row_sums, normalization_constant
@@ -94,7 +101,12 @@ class CoefficientResult:
     For the plugin and rank variants ``xi = 1 - zeta / normalization`` when
     the normalization is positive and 1 when it is zero; for the simplified
     variant the normalization is C_h. For the Chatterjee reference, zeta is
-    the raw consecutive rank-gap sum and the normalization is (n^2 - 1) / 3.
+    the raw consecutive rank-gap sum and the normalization is (n^2 - 1) / 3,
+    or 2 * sum_i l_i (n - l_i) / n when y has ties.
+
+    ``y_tied`` tells whether two y's are equal. The rank-based variants
+    read it off the max-ranks they compute anyway; it is None for the
+    plugin variant, which never ranks y.
     """
 
     xi: float
@@ -103,6 +115,7 @@ class CoefficientResult:
     variant: str
     n: int
     tie_seed: int
+    y_tied: bool | None = None
 
 
 def _has_ties(sorted_values: np.ndarray) -> bool:
@@ -110,19 +123,28 @@ def _has_ties(sorted_values: np.ndarray) -> bool:
     return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
 
 
+def _ranks_tied(max_ranks: np.ndarray) -> bool:
+    """Whether max-ranks, in any order, come from tied values.
+
+    Only ties lift their sum past n(n+1)/2; the int64 sum is exact.
+    """
+    n = max_ranks.size
+    return int(max_ranks.sum()) != n * (n + 1) // 2
+
+
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
     """The permutation that sorts pairs by x, tied x's broken uniformly at random.
 
-    One argsort orders the x's. Only tied x's run the tie-break: it draws
-    one uniform key per observation from ``tie_seed`` and sorts
-    lexicographically by (x, key), which shuffles each maximal tied block
-    uniformly. Distinct x's have a single sorting permutation, the one the
-    (x, key) sort returns for every seed. Deterministic given
+    One sort (``_sorting.sort_order``) orders the x's. Only tied x's run the
+    tie-break: it draws one uniform key per observation from ``tie_seed``
+    and sorts lexicographically by (x, key), which shuffles each maximal
+    tied block uniformly. Distinct x's have a single sorting permutation,
+    the one the (x, key) sort returns for every seed. Deterministic given
     (sample, tie_seed); O(n log n).
     """
     xs = sample.xs
-    perm = np.argsort(xs)
-    if _has_ties(xs[perm]):
+    perm, ordered = sort_order(xs)
+    if _has_ties(ordered):
         keys = np.random.default_rng(tie_seed).random(sample.n)
         perm = np.lexsort((keys, xs))
     return perm
@@ -131,13 +153,13 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
 def ranks(ys) -> np.ndarray:
     """Max-rank of each value: R_i = #{j : y_j <= y_i}.
 
-    One argsort, then O(n): without ties the sorted positions 1..n are the
-    ranks; with ties each value gets the end of its tied block. NaNs sort
-    last and form one block, so all of them rank at the count of values.
+    One sort (``_sorting.sort_order``), then O(n): without ties the sorted
+    positions 1..n are the ranks; with ties each value gets the end of its
+    tied block. NaNs sort last and form one block, so all of them rank at
+    the count of values.
     """
     ys = np.asarray(ys, dtype=float)
-    order = np.argsort(ys)
-    ordered = ys[order]
+    order, ordered = sort_order(ys)
     tied = ordered[1:] == ordered[:-1]
     tied[ordered.searchsorted(np.nan):] = True  # NaN != NaN, but they share a block
     positions = np.arange(1, ys.size + 1)
@@ -224,12 +246,19 @@ def _coefficient_from_u(
     variant: str,
     n: int,
     tie_seed: int,
+    y_tied: bool | None,
 ) -> CoefficientResult:
     zeta = _consecutive_mean(u[permutation], kernel)
     chi = _pair_mean(u, kernel)
     xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
     return CoefficientResult(
-        xi=xi, zeta=zeta, normalization=chi, variant=variant, n=n, tie_seed=tie_seed
+        xi=xi,
+        zeta=zeta,
+        normalization=chi,
+        variant=variant,
+        n=n,
+        tie_seed=tie_seed,
+        y_tied=y_tied,
     )
 
 
@@ -247,7 +276,7 @@ def xi_plugin(
     """
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    return _coefficient_from_u(u, permutation, kernel, "plugin", sample.n, tie_seed)
+    return _coefficient_from_u(u, permutation, kernel, "plugin", sample.n, tie_seed, None)
 
 
 def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -257,8 +286,10 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
     """
     permutation = order_by_x(sample, tie_seed)
-    u = ranks(sample.ys) / sample.n
-    return _coefficient_from_u(u, permutation, kernel, "rank", sample.n, tie_seed)
+    u = ranks(sample.ys)
+    y_tied = _ranks_tied(u)
+    u = u / sample.n  # rebound, so that the integer ranks are freed before the row sums
+    return _coefficient_from_u(u, permutation, kernel, "rank", sample.n, tie_seed, y_tied)
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -271,7 +302,10 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     if c_h <= 0.0:
         raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
     permutation = order_by_x(sample, tie_seed)
-    u_ordered = ranks(sample.ys)[permutation] / sample.n
+    u_ordered = ranks(sample.ys)[permutation]
+    y_tied = _ranks_tied(u_ordered)
+    # rebound, so that the integer ranks are freed before the kernel sum
+    u_ordered = u_ordered / sample.n
     zeta = _consecutive_mean(u_ordered, kernel)
     return CoefficientResult(
         xi=1.0 - zeta / c_h,
@@ -280,31 +314,53 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
         variant="simplified",
         n=sample.n,
         tie_seed=tie_seed,
+        y_tied=y_tied,
     )
 
 
 def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> CoefficientResult:
-    """Chatterjee's rank correlation, 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1).
+    """Chatterjee's (2021) rank correlation.
 
-    The (n^2 - 1)/3 denominator assumes no ties among the x's; tied x's are
-    rejected (use ``xi_rank`` there, which handles ties by construction).
+    With max-ranks R_i = #{j : y_j <= y_i} in x-order and
+    l_i = #{j : y_j >= y_i},
+
+        xi = 1 - n * sum|R_[i+1] - R_[i]| / (2 * sum_i l_i (n - l_i)),
+
+    which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). Tied
+    y's take the general form in exact integer arithmetic, rounded once;
+    a constant y leaves it undefined and raises ``DegenerateDataError``.
+    Tied x's are rejected too (use ``xi_rank`` there, which handles ties by
+    construction).
     """
+    n = sample.n
     permutation = order_by_x(sample, tie_seed)
     if _has_ties(sample.xs[permutation]):
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
-    rank_gaps = np.abs(np.diff(ranks(sample.ys)[permutation]))
-    # an exact integer sum, rounded once like fsum (int64 holds it below n ~ 3e9)
-    gap_sum = float(rank_gaps.sum())
-    normalization = (sample.n**2 - 1) / 3.0
+    max_ranks = ranks(sample.ys)
+    # an exact integer sum (int64 holds it below n ~ 3e9)
+    gap_sum = int(np.abs(np.diff(max_ranks[permutation])).sum())
+    y_tied = _ranks_tied(max_ranks)
+    if not y_tied:
+        normalization = (n**2 - 1) / 3.0
+        xi = 1.0 - gap_sum / normalization
+    else:
+        at_least = ranks(-sample.ys)
+        # Python ints: the sum passes int64 from n ~ 3.8e6 on
+        spread = sum((at_least * (n - at_least)).tolist())
+        if spread == 0:
+            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
+        normalization = 2 * spread / n
+        xi = (2 * spread - n * gap_sum) / (2 * spread)
     return CoefficientResult(
-        xi=1.0 - gap_sum / normalization,
-        zeta=gap_sum,
+        xi=xi,
+        zeta=float(gap_sum),
         normalization=normalization,
         variant="chatterjee",
-        n=sample.n,
+        n=n,
         tie_seed=tie_seed,
+        y_tied=y_tied,
     )
 
 
@@ -351,8 +407,7 @@ def pearson(sample: PairedSample) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks: each tied block gets the mean of the 1-based positions it spans."""
-    order = np.argsort(values)
-    ordered = values[order]
+    order, ordered = sort_order(values)
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     ends = np.r_[starts[1:], values.size]
     out = np.empty(values.size)

@@ -160,7 +160,9 @@ def independence_test(
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)
 
-    if continuous_y and _has_ties(np.sort(sample.ys)):
+    # the rank-based variants found ties while ranking y; only plugin sorts here
+    y_tied = result.y_tied
+    if continuous_y and (_has_ties(np.sort(sample.ys)) if y_tied is None else y_tied):
         warnings.warn(
             "duplicate y values in data declared continuous; "
             "the closed-form null variance may not apply",

@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._sorting import sort_order
 from .errors import QuadratureError
 
 __all__ = [
@@ -381,16 +382,17 @@ def kernel_row_sums(u, kernel: Kernel, squares: bool = False):
 
     Returns ``(S, Q)`` with S_i = sum_{j != i} h(u_i, u_j) and, when
     ``squares`` is set, Q_i = sum_{j != i} h(u_i, u_j)^2 (else Q is None),
-    both in the order of ``u``. The sample is sorted once; kernels with a
-    ``row_sums`` hook then take an exact O(n) identity, and any other kernel
-    is evaluated in row blocks of the upper triangle, using its symmetry.
-    Each S_i and Q_i is within 1e-12 relative of the exactly rounded sum of
-    its kernel values and depends only on the sorted sample, so exactly
-    rounded totals over rows do not depend on the order of ``u``.
+    both in the order of ``u``. The sample is sorted once
+    (``_sorting.sort_order``); kernels with a ``row_sums`` hook then take an
+    exact O(n) identity, and any other kernel is evaluated in row blocks of
+    the upper triangle, using its symmetry. Each S_i and Q_i is within
+    1e-12 relative of the exactly rounded sum of its kernel values and
+    depends only on its position in the sorted sample, so exactly rounded
+    totals over rows depend neither on the order of ``u`` nor on the order
+    the sort leaves tied values in.
     """
     u = np.asarray(u, dtype=float)
-    order = np.argsort(u, kind="stable")
-    v = u[order]
+    order, v = sort_order(u)
     if kernel.row_sums is None:
         sorted_sums = _blocked_row_sums(v, kernel.eval, squares)
     else:

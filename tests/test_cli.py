@@ -394,13 +394,22 @@ def test_rank_default_x_is_row_index(tmp_path, capsys):
 
 
 def test_rank_degenerate_series_gets_nan_row(tmp_path, capsys):
+    check_flat_series_gets_nan_row(tmp_path, capsys, ["--f", "fit-normal"])
+
+
+def test_rank_chatterjee_constant_series_gets_nan_row(tmp_path, capsys):
+    # Chatterjee's xi is undefined on a constant y, not 1
+    check_flat_series_gets_nan_row(tmp_path, capsys, ["--variant", "chatterjee"])
+
+
+def check_flat_series_gets_nan_row(tmp_path, capsys, method):
     rng = np.random.default_rng(5)
     path = write_csv(
         tmp_path / "mix.csv",
         ["a", "flat", "b"],
         [rng.random(30), np.full(30, 2.0), rng.random(30)],
     )
-    code = main(["rank", "--file", path, "--f", "fit-normal"])
+    code = main(["rank", "--file", path, *method])
     assert code == 0
     captured = capsys.readouterr()
     rows = list(csv.reader(captured.out.strip().splitlines()))

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,6 +242,54 @@ def test_chatterjee_gap_sum_equals_fsum_of_gaps():
     result = chatterjee_reference(s)
     assert result.zeta == math.fsum(gaps.astype(float).tolist())
     assert result.xi == 1.0 - result.zeta / ((n**2 - 1) / 3.0)
+
+
+def test_chatterjee_without_ties_keeps_its_bits():
+    # values of the (n^2 - 1)/3 form, pinned before the tied-y form was added
+    rng = np.random.default_rng(2021)
+    pinned = {3: "0x1.0000000000000p-2", 1000: "0x1.bb40d05b04700p-7",
+              5000: "0x1.53607b21f5200p-9"}
+    for n, xi_hex in pinned.items():
+        s = sample(rng.normal(size=n), rng.normal(size=n))
+        result = chatterjee_reference(s)
+        assert result.xi.hex() == xi_hex
+        assert result.y_tied is False
+
+
+def test_chatterjee_tied_y_hand_cases():
+    # y = 0,1,0,1: R = 2,4,2,4 gives gap sum 6; l = 4,2,4,2 gives
+    # sum l(n - l) = 8; xi = 1 - 4 * 6 / (2 * 8) = -1/2 (the no-ties form
+    # would give 1 - 3 * 6 / 15 = -1/5)
+    alternating = chatterjee_reference(sample([1, 2, 3, 4], [0, 1, 0, 1]))
+    assert (alternating.xi, alternating.zeta, alternating.normalization) == (-0.5, 6.0, 4.0)
+    assert alternating.y_tied is True
+    # y = 0,0,1,1: gap sum 2, xi = 1 - 4 * 2 / 16 = 1/2
+    assert chatterjee_reference(sample([1, 2, 3, 4], [0, 0, 1, 1])).xi == 0.5
+
+
+def test_chatterjee_tied_y_is_rounded_once():
+    rng = np.random.default_rng(8)
+    for n in (5, 60, 5000):
+        s = sample(rng.normal(size=n), rng.integers(0, 4, n))
+        gaps = int(np.abs(np.diff(ranks(s.ys)[order_by_x(s)])).sum())
+        at_least = [int((s.ys >= y).sum()) for y in s.ys]
+        spread = sum(k * (n - k) for k in at_least)
+        assert chatterjee_reference(s).xi == float(Fraction(2 * spread - n * gaps, 2 * spread))
+
+
+def test_chatterjee_binary_y_near_zero_under_independence():
+    # the (n^2 - 1)/3 form put the mean near +0.25 here
+    values = []
+    for rep in range(200):
+        rng = np.random.default_rng(3000 + rep)
+        s = sample(rng.normal(size=200), rng.integers(0, 2, 200))
+        values.append(chatterjee_reference(s).xi)
+    assert abs(np.mean(values)) < 0.02
+
+
+def test_chatterjee_rejects_constant_y():
+    with pytest.raises(DegenerateDataError, match="constant Y"):
+        chatterjee_reference(sample([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
 
 def test_chatterjee_rejects_tied_x():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.special import ndtr
 
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
-from xifamily.estimator import PairedSample, xi_simplified
+from xifamily.estimator import VARIANTS, PairedSample, coefficient, xi_simplified
 from xifamily.inference import (
     independence_test,
     sigma2_power_closed_form,
@@ -217,3 +218,30 @@ def test_duplicate_y_warns_when_declared_continuous():
     )
     with pytest.warns(UserWarning, match="duplicate"):
         independence_test(s, POWER1, variant="rank", continuous_y=True)
+
+
+def _y_with(duplicate, n):
+    """Distinct y's, or distinct but for one equal pair (``duplicate``)."""
+    ys = np.linspace(1.0, 2.0, n)
+    if duplicate == "equal pair":
+        ys[-1] = ys[0]
+    elif duplicate == "signed zeros":
+        ys[0], ys[-1] = -0.0, 0.0
+    return np.random.default_rng(n).permutation(ys)
+
+
+@pytest.mark.parametrize("n", [20, 5000])
+@pytest.mark.parametrize("duplicate", ["none", "equal pair", "signed zeros"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_duplicate_y_warning_fires_exactly_on_ties(variant, duplicate, n):
+    # the rank-based variants reuse the ties their ranking found; plugin
+    # sorts y itself; both must read -0.0 and 0.0 as a duplicate
+    s = PairedSample(xs=np.linspace(-1.0, 1.0, n), ys=_y_with(duplicate, n))
+    dist = std_normal_map() if variant == "plugin" else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
+    messages = [str(w.message) for w in caught]
+    assert any("duplicate y" in m for m in messages) == (duplicate != "none")
+    y_tied = coefficient(s, variant, POWER1, dist).y_tied
+    assert y_tied is (None if variant == "plugin" else duplicate != "none")
