@@ -1,4 +1,5 @@
-"""One sort for every ordering step: x-order, ranks, mid-ranks and row sums."""
+"""One sort for every ordering step (x-order, ranks, mid-ranks, row sums), and
+the cache-sized blocks that keep n-sized temporaries out of the hot paths."""
 
 from __future__ import annotations
 
@@ -11,6 +12,17 @@ import numpy as np
 _PACKED_SORT_MIN = 4096
 
 _NON_SIGN_BITS = 0x7FFF_FFFF_FFFF_FFFF
+
+#: values per block of a temporary that would otherwise hold n values (an
+#: index ramp, the rank gaps): an n-sized array is handed back to the OS
+#: after every call and page-faulted in again, a block of this size is not
+BLOCK = 2**14
+
+
+def blocks(n: int, size: int = BLOCK):
+    """``(start, stop)`` bounds that cover range(n) in pieces of ``size``."""
+    for start in range(0, n, size):
+        yield start, min(start + size, n)
 
 
 def sort_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +51,8 @@ def sort_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     key &= _NON_SIGN_BITS
     key ^= raw
     key &= -1 << bits
-    key |= np.arange(n)
+    for start, stop in blocks(n):
+        key[start:stop] |= np.arange(start, stop)
     key.sort()
     key &= (1 << bits) - 1
     order = key

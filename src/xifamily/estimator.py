@@ -34,7 +34,10 @@ chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
 returns math.fsum's value bit for bit, so chi is deterministic, independent
 of the order of the sample, and within 1e-12 relative of the exactly rounded
 sum of all n^2 kernel values (the tolerance the tests check against a
-row-loop oracle).
+row-loop oracle). The simplified variant with power:1, power:2 or power:3
+needs no kernel values at all: its zeta is an integer sum of rank-gap
+powers over n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``,
+which also gives Chatterjee's gap sum) and rounded once.
 """
 
 from __future__ import annotations
@@ -44,10 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sorting import sort_order
+from ._sorting import BLOCK, blocks, sort_order
 from .cdf import DistMap, empirical_map
 from .errors import DegenerateDataError, NumericError
-from .kernels import Kernel, kernel_row_sums, normalization_constant
+from .kernels import _INTEGER_POWERS, Kernel, kernel_row_sums, normalization_constant
 
 __all__ = [
     "VARIANTS",
@@ -142,12 +145,18 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
     the one the (x, key) sort returns for every seed. Deterministic given
     (sample, tie_seed); O(n log n).
     """
+    return _order_and_x_tied(sample, tie_seed)[0]
+
+
+def _order_and_x_tied(sample: PairedSample, tie_seed: int) -> tuple[np.ndarray, bool]:
+    """``order_by_x``'s permutation and whether two x's are equal."""
     xs = sample.xs
     perm, ordered = sort_order(xs)
-    if _has_ties(ordered):
+    x_tied = _has_ties(ordered)
+    if x_tied:
         keys = np.random.default_rng(tie_seed).random(sample.n)
         perm = np.lexsort((keys, xs))
-    return perm
+    return perm, x_tied
 
 
 def ranks(ys) -> np.ndarray:
@@ -159,16 +168,19 @@ def ranks(ys) -> np.ndarray:
     the count of values.
     """
     ys = np.asarray(ys, dtype=float)
+    n = ys.size
     order, ordered = sort_order(ys)
     tied = ordered[1:] == ordered[:-1]
     tied[ordered.searchsorted(np.nan):] = True  # NaN != NaN, but they share a block
-    positions = np.arange(1, ys.size + 1)
+    out = np.empty(n, dtype=np.intp)
     if tied.any():
         # a value with an equal successor takes the next block end
-        positions[:-1][tied] = ys.size
-        positions = np.minimum.accumulate(positions[::-1])[::-1]
-    out = np.empty(ys.size, dtype=np.intp)
-    out[order] = positions
+        positions = np.arange(1, n + 1)
+        positions[:-1][tied] = n
+        out[order] = np.minimum.accumulate(positions[::-1])[::-1]
+    else:
+        for start, stop in blocks(n):
+            out[order[start:stop]] = np.arange(start + 1, stop + 1)
     return out
 
 
@@ -220,6 +232,41 @@ def _fsum(values: np.ndarray) -> float:
         return math.fsum(values.tolist())
     scale = low - 53
     return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
+#: the largest int64, the bound on every partial sum of rank-gap powers
+_INT64_MAX = 2**63 - 1
+
+
+def _exact_gap_power(kernel: Kernel, n: int) -> int | None:
+    """gamma when the simplified zeta of ``kernel`` at n is an int64 rank-gap sum.
+
+    That is power:1, power:2 and power:3 (the exponents of the row-sum
+    hook) with (n - 1)^gamma, the largest term, within int64; else None.
+    """
+    gamma = kernel.params.get("gamma") if kernel.name == "power" else None
+    if gamma in _INTEGER_POWERS and (n - 1) ** int(gamma) <= _INT64_MAX:
+        return int(gamma)
+    return None
+
+
+def _rank_gap_power_sum(r_ordered: np.ndarray, gamma: int) -> int:
+    """sum_i |r_[i+1] - r_[i]|^gamma over n ranks in 1..n, exactly.
+
+    A term is at most (n - 1)^gamma, which the caller keeps within int64.
+    The terms are added in int64 over blocks of at most
+    _INT64_MAX // (n - 1)^gamma gaps, so no partial sum can overflow, and
+    the block totals are joined as Python ints.
+    """
+    n = r_ordered.size
+    total = 0
+    for start, stop in blocks(n - 1, min(BLOCK, _INT64_MAX // (n - 1) ** gamma)):
+        gaps = np.subtract(r_ordered[start + 1 : stop + 1], r_ordered[start:stop], dtype=np.int64)
+        np.abs(gaps, out=gaps)
+        if gamma > 1:
+            np.power(gaps, gamma, out=gaps)
+        total += int(gaps.sum())
+    return total
 
 
 def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
@@ -297,16 +344,28 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
 
     Valid when y is continuous, where the pairwise normalization converges
     to the constant C_h and need not be estimated.
+
+    With u = R/n, zeta = sum h(u_[i], u_[i+1]) / n. For power:1, power:2 and
+    power:3 that is the integer ratio sum |R_[i+1] - R_[i]|^gamma / n^(gamma+1),
+    which is summed exactly (``_rank_gap_power_sum``) and divided once, so
+    zeta is its exactly rounded value. Other kernels, and power:3 from
+    n ~ 2.1e6 on, where a term could pass int64, add the kernel values with
+    ``_fsum``.
     """
     c_h = normalization_constant(kernel)
     if c_h <= 0.0:
         raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
+    n = sample.n
     permutation = order_by_x(sample, tie_seed)
-    u_ordered = ranks(sample.ys)[permutation]
-    y_tied = _ranks_tied(u_ordered)
-    # rebound, so that the integer ranks are freed before the kernel sum
-    u_ordered = u_ordered / sample.n
-    zeta = _consecutive_mean(u_ordered, kernel)
+    r_ordered = ranks(sample.ys)[permutation]
+    y_tied = _ranks_tied(r_ordered)
+    gamma = _exact_gap_power(kernel, n)
+    if gamma is not None:
+        zeta = _rank_gap_power_sum(r_ordered, gamma) / n ** (gamma + 1)
+    else:
+        u_ordered = r_ordered / n
+        del r_ordered  # the integer ranks are freed before the kernel sum
+        zeta = _consecutive_mean(u_ordered, kernel)
     return CoefficientResult(
         xi=1.0 - zeta / c_h,
         zeta=zeta,
@@ -333,14 +392,14 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     construction).
     """
     n = sample.n
-    permutation = order_by_x(sample, tie_seed)
-    if _has_ties(sample.xs[permutation]):
+    permutation, x_tied = _order_and_x_tied(sample, tie_seed)
+    if x_tied:
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
     max_ranks = ranks(sample.ys)
-    # an exact integer sum (int64 holds it below n ~ 3e9)
-    gap_sum = int(np.abs(np.diff(max_ranks[permutation])).sum())
+    # exact, and the same routine as the simplified power:1 zeta's numerator
+    gap_sum = _rank_gap_power_sum(max_ranks[permutation], 1)
     y_tied = _ranks_tied(max_ranks)
     if not y_tied:
         normalization = (n**2 - 1) / 3.0

@@ -58,6 +58,9 @@ _VALIDATION_TOL = 1e-12
 _BLOCK_ELEMENTS = 2**14
 #: Largest exponent an anchored decay sum multiplies by (e^600 ~ 4e260).
 _MAX_EXPONENT = 600.0
+#: Exponents whose power kernel carries the integer-power row-sum routine;
+#: the simplified coefficient also sums their rank gaps in integers.
+_INTEGER_POWERS = (1.0, 2.0, 3.0)
 
 
 @dataclass(frozen=True)
@@ -244,7 +247,7 @@ def make_kernel(name: str, **params) -> Kernel:
             params={"gamma": gamma},
             eval=_power_eval(gamma),
             closed_form_ch=2.0 / ((gamma + 1.0) * (gamma + 2.0)),
-            row_sums=_power_row_sums(int(gamma)) if gamma in (1.0, 2.0, 3.0) else None,
+            row_sums=_power_row_sums(int(gamma)) if gamma in _INTEGER_POWERS else None,
         )
     if name == "exp":
         beta = _require_positive_finite(params.pop("beta"), "beta")

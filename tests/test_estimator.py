@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xifamily import _sorting, estimator
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
 from xifamily.estimator import (
     PairedSample,
+    _exact_gap_power,
+    _order_and_x_tied,
+    _rank_gap_power_sum,
     chatterjee_reference,
     order_by_x,
     pearson,
@@ -20,7 +24,7 @@ from xifamily.estimator import (
     xi_rank,
     xi_simplified,
 )
-from xifamily.kernels import Kernel, make_kernel
+from xifamily.kernels import Kernel, custom_kernel, make_kernel
 
 POWER1 = make_kernel("power", gamma=1.0)
 POWER2 = make_kernel("power", gamma=2.0)
@@ -220,6 +224,123 @@ def test_simplified_close_to_chatterjee():
         assert gap <= 5.0 / n
 
 
+# ------------------------------------------------ exact rank-gap zeta
+#
+# For power:gamma with gamma in {1, 2, 3}, the simplified zeta is the
+# integer ratio sum |R_[i+1] - R_[i]|^gamma / n^(gamma+1). The oracle below
+# ranks y and orders x without the library and adds the gaps in Python ints;
+# the library's zeta must be that ratio rounded once, bit for bit.
+
+GAP_BLOCK = _sorting.BLOCK
+
+
+def oracle_gap_sum(r_ordered, gamma):
+    r = [int(v) for v in r_ordered]
+    return sum(abs(b - a) ** gamma for a, b in zip(r, r[1:]))
+
+
+def zeta_sample(kind, n, rng):
+    """Distinct x, and y distinct, tied (7 levels) or binary."""
+    xs = rng.permutation(n).astype(float)
+    if kind == "distinct":
+        ys = rng.normal(size=n)
+    elif kind == "tied":
+        ys = rng.integers(0, 7, n).astype(float)
+    else:
+        ys = rng.integers(0, 2, n).astype(float)
+    r_ordered = np.searchsorted(np.sort(ys), ys, side="right")[np.argsort(xs)]
+    return sample(xs, ys), r_ordered
+
+
+@given(
+    n=st.sampled_from([2, 3, GAP_BLOCK, GAP_BLOCK + 1, GAP_BLOCK + 2, 3000]),
+    kind=st.sampled_from(["distinct", "tied", "binary"]),
+    gamma=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_simplified_zeta_is_the_exactly_rounded_gap_ratio(n, kind, gamma, seed):
+    # n - 1 gaps: one, two, a block less one, a block, a block plus one
+    s, r_ordered = zeta_sample(kind, n, np.random.default_rng(seed))
+    gap_sum = oracle_gap_sum(r_ordered, gamma)
+    assert _rank_gap_power_sum(r_ordered, gamma) == gap_sum
+    kernel = make_kernel("power", gamma=gamma)
+    result = xi_simplified(s, kernel)
+    assert result.zeta == float(Fraction(gap_sum, n ** (gamma + 1)))
+    assert result.xi == 1.0 - result.zeta / kernel.closed_form_ch
+
+
+def test_gap_sum_at_1e5_splits_power3_at_the_int64_bound():
+    # 99_999^3 lets a block hold only 9223 gaps, fewer than GAP_BLOCK
+    n = 100_000
+    assert (2**63 - 1) // (n - 1) ** 3 < GAP_BLOCK
+    for kind in ("distinct", "binary"):
+        s, r_ordered = zeta_sample(kind, n, np.random.default_rng(10))
+        gap_sum = oracle_gap_sum(r_ordered, 3)
+        assert _rank_gap_power_sum(r_ordered, 3) == gap_sum
+        assert xi_simplified(s, make_kernel("power", gamma=3.0)).zeta == gap_sum / n**4
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_gap_sum_blocks_stay_within_the_int64_bound(monkeypatch, gamma):
+    # with the bound lowered to three worst-case terms and a little, every
+    # gap of 1, n, 1, n, ... is n - 1: the int64 partial sum of each block
+    # must stay within the bound, and the blocks must cover every gap once
+    n = 200
+    bound = 3 * (n - 1) ** gamma + 5
+    monkeypatch.setattr(estimator, "_INT64_MAX", bound)
+    seen = []
+
+    def recording_blocks(count, size=GAP_BLOCK):
+        for start, stop in _sorting.blocks(count, size):
+            seen.append((start, stop))
+            yield start, stop
+
+    monkeypatch.setattr(estimator, "blocks", recording_blocks)
+    r_ordered = np.tile([1, n], n // 2)
+    assert _rank_gap_power_sum(r_ordered, gamma) == (n - 1) ** (gamma + 1)
+    assert [start for start, _ in seen] == [0] + [stop for _, stop in seen[:-1]]
+    assert seen[-1][1] == n - 1
+    assert max(oracle_gap_sum(r_ordered[start : stop + 1], gamma) for start, stop in seen) <= bound
+
+
+def test_simplified_falls_back_to_the_float_sum_past_int64(monkeypatch):
+    # with the bound just below 199^3, power:3 at n = 200 could overflow and
+    # takes the float path; power:1 and power:2 stay exact, in blocks
+    n = 200
+    monkeypatch.setattr(estimator, "_INT64_MAX", (n - 1) ** 3 - 1)
+    exact_calls = []
+
+    def recording_sum(r_ordered, gamma):
+        exact_calls.append(gamma)
+        return _rank_gap_power_sum(r_ordered, gamma)
+
+    monkeypatch.setattr(estimator, "_rank_gap_power_sum", recording_sum)
+    s, r_ordered = zeta_sample("tied", n, np.random.default_rng(4))
+    u = r_ordered / n
+    for gamma in (1, 2, 3):
+        kernel = make_kernel("power", gamma=gamma)
+        zeta = xi_simplified(s, kernel).zeta
+        if gamma == 3:
+            assert zeta == math.fsum(kernel.eval(u[:-1], u[1:]).tolist()) / n
+        else:
+            assert zeta == float(Fraction(oracle_gap_sum(r_ordered, gamma), n ** (gamma + 1)))
+    assert exact_calls == [1, 2]
+
+
+def test_exact_gap_power_takes_the_row_sum_hook_exponents():
+    power = {gamma: make_kernel("power", gamma=gamma) for gamma in (0.5, 1.0, 2.0, 3.0, 4.0)}
+    assert [_exact_gap_power(power[g], 10) for g in power] == [None, 1, 2, 3, None]
+    # (2^21 - 1)^3 < 2^63 - 1 < (2^21)^3
+    assert _exact_gap_power(power[3.0], 2**21) == 3
+    assert _exact_gap_power(power[3.0], 2**21 + 1) is None
+    assert _exact_gap_power(power[2.0], 2**21 + 1) == 2
+    assert _exact_gap_power(EXP1, 10) is None
+    assert _exact_gap_power(make_kernel("expsq"), 10) is None
+    named_power = custom_kernel("power", lambda y, z: np.abs(np.subtract(y, z)))
+    assert _exact_gap_power(named_power, 10) is None
+
+
 # -------------------------------------------------------------- chatterjee
 
 def test_chatterjee_identity_n10():
@@ -296,6 +417,16 @@ def test_chatterjee_rejects_tied_x():
     s = sample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(DegenerateDataError, match="xi_rank"):
         chatterjee_reference(s)
+
+
+@given(coordinates(min_size=2), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_order_helper_flags_tied_x(xs, tie_seed):
+    # chatterjee reads tied x off the flag of the sort order_by_x runs
+    s = sample(xs, np.zeros(xs.size))
+    permutation, x_tied = _order_and_x_tied(s, tie_seed)
+    assert np.array_equal(permutation, order_by_x(s, tie_seed))
+    assert x_tied == (np.unique(xs).size < xs.size)
 
 
 def test_chatterjee_near_zero_under_independence():

@@ -360,10 +360,13 @@ def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
     u_ordered = u[order_by_x(sample)]
     zeta = math_fsum(kernel.eval(u_ordered[:-1], u_ordered[1:])) / n
 
-    # closed-form variance: z depends on the sum through zeta alone
+    # closed-form variance: z depends on the sum through zeta alone, which
+    # for power:1 is the integer rank-gap sum over n^2, rounded once
+    r_ordered = ranks(sample.ys)[order_by_x(sample)].tolist()
+    gap_sum = sum(abs(b - a) for a, b in zip(r_ordered, r_ordered[1:]))
     result = independence_test(sample, kernel, "simplified", continuous_y=True)
     sigma2 = result.sigma2_used.sigma2
-    xi = 1.0 - zeta / kernel.closed_form_ch
+    xi = 1.0 - gap_sum / n**2 / kernel.closed_form_ch
     assert result.z == math.sqrt(n) * xi / math.sqrt(sigma2)
 
     # U-statistic variance: chi, m, q and r are sums of 1e5 row sums

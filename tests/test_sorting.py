@@ -80,6 +80,15 @@ def test_packed_path_on_any_floats(values):
         check_sort_order(np.asarray(values, dtype=float))
 
 
+@pytest.mark.parametrize("n", [_sorting.BLOCK - 1, _sorting.BLOCK + 1, 2 * _sorting.BLOCK + 3])
+def test_index_ramps_written_in_blocks(n):
+    # the packed keys and the ranks of distinct values take their index
+    # ramps one block at a time
+    values = np.random.default_rng(n).normal(size=n)
+    check_sort_order(values)
+    assert np.array_equal(ranks(values), np.searchsorted(np.sort(values), values, side="right"))
+
+
 def test_sort_order_accepts_strided_input():
     values = np.random.default_rng(4).normal(size=2 * MIN)[::2]
     check_sort_order(values)
