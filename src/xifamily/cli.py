@@ -75,7 +75,7 @@ def load_csv(path) -> CsvTable:
 
 def _numeric_rows(fh, width):
     """The rest of ``fh`` as a (lines, width) array of finite floats, else None."""
-    lines = _CountedLines(fh)
+    lines = fh.readlines()
     try:
         with warnings.catch_warnings():
             # numpy warns when no row follows the header
@@ -83,22 +83,9 @@ def _numeric_rows(fh, width):
             values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
         return None
-    if values.shape != (lines.count, width) or not np.isfinite(values).all():
+    if values.shape != (len(lines), width) or not np.isfinite(values).all():
         return None
     return values
-
-
-class _CountedLines:
-    """The lines left in a file, counted as they are read."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.count = 0
-
-    def __iter__(self):
-        for line in self.fh:
-            self.count += 1
-            yield line
 
 
 def _headers(path, row) -> list:
@@ -227,6 +214,10 @@ def cmd_rank(args) -> int:
     degenerate = []
     for name in names:
         sample = PairedSample(xs=xs, ys=table.columns[name])
+        if sample.ys.min() == sample.ys.max():
+            # no dependence to rank, though a fixed F would give it xi = 1
+            degenerate.append(name)
+            continue
         try:
             value = coefficient(sample, args.variant, kernel, _dist(args, sample), args.seed).xi
         except DegenerateDataError:

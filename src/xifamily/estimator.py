@@ -19,17 +19,15 @@ which is also provided directly as a reference. ``coefficient`` selects a
 member by its name in ``VARIANTS``; the CLI, the simulation harness and
 the independence test all go through it.
 
-All operations are pure functions of (sample, seed). The x-order, the
-ranks and the row sums each take one sort, ``_sorting.sort_order``: numpy's
-argsort for small samples and numpy's SIMD integer sort of packed
-(value, index) keys for large ones, checked and repaired so that the order
-is argsort's wherever the values are distinct. The rank-based variants record
-in ``y_tied`` whether their max-ranks saw tied y, which the independence
-test reuses instead of sorting y again. chi is built from the
-off-diagonal row sums of ``kernels.kernel_row_sums``: exact O(n log n)
-identities for the builtin kernels (one integer-power routine for power:1,
-power:2 and power:3, and for expsq as power:2 on e^u; a decayed-sum
-recurrence for exp), blocked O(n^2) sums otherwise. zeta's kernel values and
+All operations are pure functions of (sample, seed). Every sort is
+``_sorting.sort_order``, whose order is argsort's wherever the values are
+distinct. x is sorted once for its order and y once for its max-ranks
+(``_ranked``), which every rank-based output reads: the rank variants,
+``y_tied``, Chatterjee's tie denominator, Spearman's mid-ranks and, through
+the result, the independence test's moments. chi is built from the
+off-diagonal row sums of the mapped values in ascending order
+(``kernels._sorted_row_sums``, exact O(n log n) identities for the builtin
+kernels), which the rank variant reads off its ranks. zeta's kernel values and
 chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
 returns math.fsum's value bit for bit, so chi is deterministic, independent
 of the order of the sample, and within 1e-12 relative of the exactly rounded
@@ -43,14 +41,14 @@ which also gives Chatterjee's gap sum) and rounded once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._sorting import BLOCK, blocks, sort_order
-from .cdf import DistMap, empirical_map
+from .cdf import DistMap
 from .errors import DegenerateDataError, NumericError
-from .kernels import _INTEGER_POWERS, Kernel, kernel_row_sums, normalization_constant
+from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, normalization_constant
 
 __all__ = [
     "VARIANTS",
@@ -109,7 +107,8 @@ class CoefficientResult:
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
     read it off the max-ranks they compute anyway; it is None for the
-    plugin variant, which never ranks y.
+    plugin variant, which never ranks y. With tied y the private
+    ``_y_max_ranks`` keeps them in ascending order for the test's moments.
     """
 
     xi: float
@@ -119,20 +118,12 @@ class CoefficientResult:
     n: int
     tie_seed: int
     y_tied: bool | None = None
+    _y_max_ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _has_ties(sorted_values: np.ndarray) -> bool:
     """Whether a sorted array holds two equal values (-0.0 equals 0.0)."""
     return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
-
-
-def _ranks_tied(max_ranks: np.ndarray) -> bool:
-    """Whether max-ranks, in any order, come from tied values.
-
-    Only ties lift their sum past n(n+1)/2; the int64 sum is exact.
-    """
-    n = max_ranks.size
-    return int(max_ranks.sum()) != n * (n + 1) // 2
 
 
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
@@ -167,21 +158,33 @@ def ranks(ys) -> np.ndarray:
     tied block. NaNs sort last and form one block, so all of them rank at
     the count of values.
     """
-    ys = np.asarray(ys, dtype=float)
-    n = ys.size
-    order, ordered = sort_order(ys)
+    return _ranked(np.asarray(ys, dtype=float))[0]
+
+
+def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(ranks(values), max_ranks)``: ``max_ranks`` are the ranks in ascending
+    order, or None when no two values are equal, where they are 1..n."""
+    n = values.size
+    order, ordered = sort_order(values)
     tied = ordered[1:] == ordered[:-1]
     tied[ordered.searchsorted(np.nan):] = True  # NaN != NaN, but they share a block
     out = np.empty(n, dtype=np.intp)
+    max_ranks = None
     if tied.any():
         # a value with an equal successor takes the next block end
         positions = np.arange(1, n + 1)
         positions[:-1][tied] = n
-        out[order] = np.minimum.accumulate(positions[::-1])[::-1]
+        max_ranks = np.minimum.accumulate(positions[::-1])[::-1]
+        out[order] = max_ranks
     else:
         for start, stop in blocks(n):
             out[order[start:stop]] = np.arange(start + 1, stop + 1)
-    return out
+    return out, max_ranks
+
+
+def _ascending_u(max_ranks: np.ndarray | None, n: int) -> np.ndarray:
+    """The empirical CDF at a sample, R / n, in ascending order, from its sorted max-ranks."""
+    return (np.arange(1, n + 1) if max_ranks is None else max_ranks) / n
 
 
 #: below this many values math.fsum beats the numpy call overhead of _fsum
@@ -275,37 +278,37 @@ def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
     return _fsum(np.asarray(kernel.eval(u_ordered[:-1], u_ordered[1:]), dtype=float)) / n
 
 
-def _pair_mean(u: np.ndarray, kernel: Kernel) -> float:
-    """chi: mean kernel value over all n^2 ordered pairs (diagonal included)."""
-    n = u.size
-    row_sums, _ = kernel_row_sums(u, kernel)
+def _pair_mean(v: np.ndarray, kernel: Kernel) -> float:
+    """chi: mean kernel value over all n^2 ordered pairs (diagonal included) of ascending v."""
+    n = v.size
+    row_sums, _ = _sorted_row_sums(v, kernel)
     if kernel.row_sums is None:
         # only hooked kernels are exactly 0 on the diagonal; a custom kernel
         # may leave up to its validation tolerance there, which chi counts
-        row_sums = np.concatenate((row_sums, np.asarray(kernel.eval(u, u), dtype=float)))
+        row_sums = np.concatenate((row_sums, np.asarray(kernel.eval(v, v), dtype=float)))
     return _fsum(row_sums) / (n * n)
 
 
 def _coefficient_from_u(
-    u: np.ndarray,
-    permutation: np.ndarray,
+    u_ordered: np.ndarray,
+    v: np.ndarray,
     kernel: Kernel,
     variant: str,
-    n: int,
     tie_seed: int,
-    y_tied: bool | None,
+    y_max_ranks: np.ndarray | None = None,
 ) -> CoefficientResult:
-    zeta = _consecutive_mean(u[permutation], kernel)
-    chi = _pair_mean(u, kernel)
+    zeta = _consecutive_mean(u_ordered, kernel)
+    chi = _pair_mean(v, kernel)
     xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
     return CoefficientResult(
         xi=xi,
         zeta=zeta,
         normalization=chi,
         variant=variant,
-        n=n,
+        n=v.size,
         tie_seed=tie_seed,
-        y_tied=y_tied,
+        y_tied=None if variant == "plugin" else y_max_ranks is not None,
+        _y_max_ranks=y_max_ranks,
     )
 
 
@@ -323,7 +326,7 @@ def xi_plugin(
     """
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    return _coefficient_from_u(u, permutation, kernel, "plugin", sample.n, tie_seed, None)
+    return _coefficient_from_u(u[permutation], sort_order(u)[1], kernel, "plugin", tie_seed)
 
 
 def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -333,10 +336,11 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
     """
     permutation = order_by_x(sample, tie_seed)
-    u = ranks(sample.ys)
-    y_tied = _ranks_tied(u)
-    u = u / sample.n  # rebound, so that the integer ranks are freed before the row sums
-    return _coefficient_from_u(u, permutation, kernel, "rank", sample.n, tie_seed, y_tied)
+    r, max_ranks = _ranked(sample.ys)
+    u_ordered = r[permutation] / sample.n
+    del r  # freed before the row sums
+    v = _ascending_u(max_ranks, sample.n)
+    return _coefficient_from_u(u_ordered, v, kernel, "rank", tie_seed, max_ranks)
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -357,8 +361,8 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
         raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
     n = sample.n
     permutation = order_by_x(sample, tie_seed)
-    r_ordered = ranks(sample.ys)[permutation]
-    y_tied = _ranks_tied(r_ordered)
+    r, max_ranks = _ranked(sample.ys)
+    r_ordered = r[permutation]
     gamma = _exact_gap_power(kernel, n)
     if gamma is not None:
         zeta = _rank_gap_power_sum(r_ordered, gamma) / n ** (gamma + 1)
@@ -373,7 +377,8 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
         variant="simplified",
         n=sample.n,
         tie_seed=tie_seed,
-        y_tied=y_tied,
+        y_tied=max_ranks is not None,
+        _y_max_ranks=max_ranks,
     )
 
 
@@ -397,15 +402,15 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
-    max_ranks = ranks(sample.ys)
+    r, max_ranks = _ranked(sample.ys)
     # exact, and the same routine as the simplified power:1 zeta's numerator
-    gap_sum = _rank_gap_power_sum(max_ranks[permutation], 1)
-    y_tied = _ranks_tied(max_ranks)
-    if not y_tied:
+    gap_sum = _rank_gap_power_sum(r[permutation], 1)
+    if max_ranks is None:
         normalization = (n**2 - 1) / 3.0
         xi = 1.0 - gap_sum / normalization
     else:
-        at_least = ranks(-sample.ys)
+        # l_i = #{j : y_j >= y_i}: n less the values before y_i's tied block
+        at_least = n - max_ranks.searchsorted(max_ranks)
         # Python ints: the sum passes int64 from n ~ 3.8e6 on
         spread = sum((at_least * (n - at_least)).tolist())
         if spread == 0:
@@ -419,7 +424,8 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
         variant="chatterjee",
         n=n,
         tie_seed=tie_seed,
-        y_tied=y_tied,
+        y_tied=max_ranks is not None,
+        _y_max_ranks=max_ranks,
     )
 
 
@@ -464,18 +470,15 @@ def pearson(sample: PairedSample) -> float:
     return float(xc @ yc) / (sx * sy)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Mid-ranks: each tied block gets the mean of the 1-based positions it spans."""
-    order, ordered = sort_order(values)
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], values.size]
-    out = np.empty(values.size)
-    out[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    return out
+def _mid_ranks(values: np.ndarray) -> np.ndarray:
+    """Mid-ranks: each tied block gets the mean of the 1-based positions it spans,
+    from where its max-rank R first appears among the sorted max-ranks to R."""
+    r, max_ranks = _ranked(values)
+    if max_ranks is None:
+        return r.astype(float)
+    return (max_ranks.searchsorted(r) + 1 + r) / 2.0
 
 
 def spearman(sample: PairedSample) -> float:
     """Pearson correlation of mid-ranks (average rank on ties)."""
-    rx = _average_ranks(sample.xs)
-    ry = _average_ranks(sample.ys)
-    return pearson(PairedSample(xs=rx, ys=ry))
+    return pearson(PairedSample(xs=_mid_ranks(sample.xs), ys=_mid_ranks(sample.ys)))

@@ -10,17 +10,16 @@ with continuous y, F(y) is uniform on [0,1] and the three moments reduce to
 unit-square integrals; for the power kernel |y-z|^gamma they evaluate in
 closed form (gamma = 1 gives 2/5, matching the classic rank correlation).
 Otherwise the moments are estimated from the sample by U-statistics over
-distinct index pairs and triples, computed from the row sums of
-``kernels.kernel_row_sums``:
+distinct index pairs and triples, from the row sums of the mapped values in
+ascending order (``kernels._sorted_row_sums``, O(n log n) for the builtin
+kernels):
 
     sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i,
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
-in O(n log n) for the builtin kernels (one integer-power routine for
-power:1, power:2 and power:3, and for expsq as power:2 on e^u; a
-decayed-sum recurrence for exp) and in blocked O(n^2) otherwise. The rows
-are added with ``estimator._fsum``, which returns math.fsum's exactly
-rounded value.
+added with ``estimator._fsum``, which returns math.fsum's exactly rounded
+value. The rank variants take those values, R/n in ascending order, from
+the max-ranks their coefficient sorted y for, so y is not sorted again.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -32,13 +31,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cdf import DistMap, empirical_map
+from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _fsum, _has_ties, coefficient
-from .kernels import Kernel, kernel_row_sums, make_kernel
+from .estimator import PairedSample, _ascending_u, _fsum, _has_ties, coefficient
+from .kernels import Kernel, _sorted_row_sums, make_kernel
+
+if TYPE_CHECKING:
+    from .cdf import DistMap
 
 __all__ = [
     "VarianceEstimate",
@@ -110,16 +113,23 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
         m = sum_{i != j} h_ij / (n(n-1))
         q = sum_{i != j} h_ij^2 / (n(n-1))
         r = sum_i (S_i^2 - Q_i) / (n(n-1)(n-2))
-    with S_i and Q_i the row sums of h and h^2 over j != i
-    (``kernel_row_sums``), added across rows with exactly rounded summation
-    (``estimator._fsum``).
+    with S_i and Q_i the row sums of h and h^2 over j != i, taken on the
+    sorted F(y) (``kernels._sorted_row_sums``) and added across rows with
+    exactly rounded summation (``estimator._fsum``).
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.size
     if n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance estimation, got {n}")
-    u = np.asarray(dist.eval(ys), dtype=float)
-    row_sums, row_sq_sums = kernel_row_sums(u, kernel, squares=True)
+    _, v = sort_order(np.asarray(dist.eval(ys), dtype=float))
+    source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
+    return _sigma2_sorted(v, kernel, source)
+
+
+def _sigma2_sorted(v: np.ndarray, kernel: Kernel, source: str) -> VarianceEstimate:
+    """``sigma2_ustat`` from the mapped values in ascending order, n >= 3."""
+    n = v.size
+    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares=True)
     pairs = n * (n - 1)
     m = _fsum(row_sums) / pairs
     q = _fsum(row_sq_sums) / pairs
@@ -132,7 +142,6 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
             f"variance estimate {sigma2} is not positive (m={m}, q={q}, r={r}); "
             "numerical failure or pathological sample"
         )
-    source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
     return VarianceEstimate(sigma2=sigma2, source=source, components=(m, q, r))
 
 
@@ -175,9 +184,11 @@ def independence_test(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",
         )
+    elif rank_based:
+        u = _ascending_u(result._y_max_ranks, sample.n)
+        variance = _sigma2_sorted(u, kernel, "ustat_rank")
     else:
-        moment_dist = empirical_map(sample.ys) if rank_based else dist
-        variance = sigma2_ustat(sample.ys, kernel, moment_dist)
+        variance = sigma2_ustat(sample.ys, kernel, dist)
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

@@ -21,13 +21,15 @@ All builtin kernels carry closed-form unit-square integrals
 used as the exact normalization of the simplified coefficient; custom
 kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
-The all-pairs sums behind the plugin and rank coefficients and the
-U-statistic null variance go through one primitive, ``kernel_row_sums``.
-The kernels of the simulation study carry exact O(n log n) row-sum
-identities on the sorted sample: one integer-power routine serves power:1,
-power:2 and power:3, and expsq as power:2 on e^u; exp:beta keeps its
-decayed-sum recurrence. Every other kernel, other exponents included, is
-summed in row blocks of the upper triangle, O(n^2) work in O(n) memory.
+The all-pairs sums behind chi and the U-statistic null variance take
+their values in ascending order and go through one dispatch,
+``_sorted_row_sums``; the public ``kernel_row_sums`` sorts first and puts
+the rows back in input order. The kernels of the simulation study carry
+exact O(n log n) row-sum identities on the sorted sample: one
+integer-power routine serves power:1, power:2 and power:3, and expsq as
+power:2 on e^u; exp:beta keeps its decayed-sum recurrence. Every other
+kernel, other exponents included, is summed in row blocks of the upper
+triangle, O(n^2) work in O(n) memory.
 """
 
 from __future__ import annotations
@@ -396,13 +398,17 @@ def kernel_row_sums(u, kernel: Kernel, squares: bool = False):
     """
     u = np.asarray(u, dtype=float)
     order, v = sort_order(u)
-    if kernel.row_sums is None:
-        sorted_sums = _blocked_row_sums(v, kernel.eval, squares)
-    else:
-        sorted_sums = kernel.row_sums(v, squares)
+    sorted_sums = _sorted_row_sums(v, kernel, squares)
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     return tuple(None if sums is None else sums[position] for sums in sorted_sums)
+
+
+def _sorted_row_sums(v: np.ndarray, kernel: Kernel, squares: bool = False):
+    """``kernel_row_sums`` of ascending ``v``, in the order of ``v``: no sort, no scatter."""
+    if kernel.row_sums is None:
+        return _blocked_row_sums(v, kernel.eval, squares)
+    return kernel.row_sums(v, squares)
 
 
 def _blocked_row_sums(v: np.ndarray, h: Callable, squares: bool):

@@ -402,6 +402,16 @@ def test_rank_chatterjee_constant_series_gets_nan_row(tmp_path, capsys):
     check_flat_series_gets_nan_row(tmp_path, capsys, ["--variant", "chatterjee"])
 
 
+@pytest.mark.parametrize(
+    "method",
+    [["--variant", "rank"], ["--variant", "simplified"], ["--variant", "plugin", "--f", "std-normal"]],
+)
+def test_rank_constant_series_gets_nan_row_under_fixed_maps(tmp_path, capsys, method):
+    # with F fixed, the kernel sums of a flat series vanish and the library
+    # sets xi = 1, which must not top the ranking
+    check_flat_series_gets_nan_row(tmp_path, capsys, method)
+
+
 def check_flat_series_gets_nan_row(tmp_path, capsys, method):
     rng = np.random.default_rng(5)
     path = write_csv(

@@ -30,13 +30,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from xifamily.cdf import DistMap, uniform_map
+from xifamily.cdf import DistMap, empirical_map, uniform_map
 from xifamily.errors import DegenerateDataError, NumericError
 from xifamily.estimator import (
     _EXACT_SUM_SIZES,
     PairedSample,
-    _average_ranks,
     _fsum,
+    _mid_ranks,
     order_by_x,
     ranks,
     xi_plugin,
@@ -225,6 +225,59 @@ def test_power_routine_matches_blocked_path_at_large_n(shape, kernel):
     assert_close(est.sigma2, exact.sigma2, SIGMA2_REL_TOL, "sigma2")
 
 
+# ------------------------------------------------ the ranked-y moments
+#
+# The rank-based independence tests take their U-statistic moments from the
+# max-ranks the coefficient sorted y for; sigma2_ustat under the public
+# empirical map is their reference, bit for bit.
+
+RANKED_VARIANTS = ["rank", "simplified", "chatterjee"]
+
+
+def ranked_y(shape, n, rng):
+    ys = rng.normal(size=n)
+    if shape == "rounded":
+        return ys.round(1)
+    if shape == "5-level":
+        return rng.integers(0, 5, n).astype(float)
+    if shape == "binary":
+        return (ys > 0.0).astype(float)
+    return ys
+
+
+def check_ranked_variance(ys, kernel, variant):
+    sample = PairedSample(xs=np.random.default_rng(3).permutation(ys.size) * 1.0, ys=ys)
+    moment_kernel = make_kernel("power", gamma=1.0) if variant == "chatterjee" else kernel
+    try:
+        want = sigma2_ustat(ys, moment_kernel, empirical_map(ys))
+    except (DegenerateDataError, NumericError) as exc:
+        with pytest.raises(type(exc)):
+            independence_test(sample, kernel, variant)
+        return
+    got = independence_test(sample, kernel, variant).sigma2_used
+    assert (got.sigma2, got.components, got.source) == (want.sigma2, want.components, want.source)
+
+
+@given(
+    st.sampled_from(["distinct", "rounded", "5-level", "binary"]),
+    st.integers(3, 200),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(KERNELS + [make_kernel("power", gamma=0.5)]),
+    st.sampled_from(RANKED_VARIANTS),
+)
+@settings(max_examples=200, deadline=None)
+def test_ranked_variance_equals_empirical_map_path(shape, n, seed, kernel, variant):
+    check_ranked_variance(ranked_y(shape, n, np.random.default_rng(seed)), kernel, variant)
+
+
+@pytest.mark.parametrize("variant", RANKED_VARIANTS)
+@pytest.mark.parametrize("shape", ["distinct", "rounded"])
+def test_ranked_variance_at_packed_sort_size(shape, variant):
+    # from 4096 values on, y is sorted by packed keys
+    ys = ranked_y(shape, LARGE_N, np.random.default_rng(8))
+    check_ranked_variance(ys, make_kernel("exp", beta=1.0), variant)
+
+
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 0.5, 1.5, 2.0000001, 4.0])
 def test_exact_path_only_for_checked_exponents(gamma):
     # only gamma = 1, 2, 3 are checked against the blocked path above;
@@ -259,7 +312,7 @@ def test_exp_row_sums_for_steep_kernels():
 @settings(max_examples=200, deadline=None)
 def test_average_ranks_equal_scipy_bitwise(values):
     values = np.asarray(values, dtype=float)
-    assert np.array_equal(_average_ranks(values), rankdata(values, method="average"))
+    assert np.array_equal(_mid_ranks(values), rankdata(values, method="average"))
 
 
 

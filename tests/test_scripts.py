@@ -1,6 +1,7 @@
-"""Smoke test of scripts/reproduce_tables.py against the library it drives."""
+"""Smoke tests of the scripts against the library they drive."""
 
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -50,3 +51,32 @@ def test_golden_mode_runs():
     done = run_script("--table", "1", "--mode", "golden", "--reps", "2")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 4  # header and three golden cells
+
+
+def load_output_digest():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "scripts" / "output_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_output_digest_on_a_small_grid(monkeypatch):
+    digest = load_output_digest()
+    grid = {
+        "kernels": ["power:1", "power:0.5", "custom"],
+        "maps": ["std-normal", "empirical"],
+        "y_shapes": ["distinct", "binary", "constant"],
+        "x_shapes": ["distinct", "tied"],
+        "sizes": [3, 20],
+    }
+    families, total = digest.digests(grid)
+    assert len(families) == 12
+    assert len(set(families.values())) == 12
+    assert digest.digests(grid) == (families, total)
+    # a changed output changes the digest of every family
+    monkeypatch.setattr(digest, "spearman", lambda s: 0.0)
+    changed, changed_total = digest.digests(grid)
+    assert changed_total != total
+    assert all(changed[k] != families[k] for k in families)

@@ -6,6 +6,8 @@ on inputs without two equal values (one NaN at most) it must be exactly
 output must equal the argsort path's bit for bit.
 """
 
+import contextlib
+import sys
 import warnings
 from unittest import mock
 
@@ -19,10 +21,13 @@ from xifamily.cdf import std_normal_map
 from xifamily.estimator import (
     VARIANTS,
     PairedSample,
-    _average_ranks,
     coefficient,
     order_by_x,
+    chatterjee_reference,
     ranks,
+    spearman,
+    xi_plugin,
+    xi_rank,
 )
 from xifamily.inference import independence_test
 from xifamily.kernels import kernel_row_sums, parse_kernel_spec
@@ -102,7 +107,7 @@ def outputs(n, seed):
     out = []
     for x, y in [(xs, ys), (xs.round(2), ys.round(1)), (xs, np.digitize(ys, [-1, 0, 1]) * 1.0)]:
         s = PairedSample(xs=x, ys=y)
-        out += [order_by_x(s, 5), ranks(y), _average_ranks(x)]
+        out += [order_by_x(s, 5), ranks(y), spearman(s)]
         for spec in ["power:1", "power:3", "exp:1", "expsq"]:
             kernel = parse_kernel_spec(spec)
             rows = kernel_row_sums(y, kernel, squares=True)
@@ -132,3 +137,51 @@ def test_outputs_equal_the_argsort_path_bit_for_bit(n):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         else:
             assert a == b or (a != a and b != b)
+
+
+# ------------------------------------------------------------ sort counts
+
+
+def count_sorts(call):
+    """``(sort_order calls, np.sort calls)`` made by ``call()``.
+
+    ``sort_order`` is patched in every module that binds it.
+    """
+    counts = {"sort_order": 0, "np.sort": 0}
+    original, np_sort = _sorting.sort_order, np.sort
+
+    def counted_sort_order(values):
+        counts["sort_order"] += 1
+        return original(values)
+
+    def counted_np_sort(*args, **kwargs):
+        counts["np.sort"] += 1
+        return np_sort(*args, **kwargs)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "xifamily" and getattr(module, "sort_order", None) is original:
+                stack.enter_context(mock.patch.object(module, "sort_order", counted_sort_order))
+        stack.enter_context(mock.patch.object(np, "sort", counted_np_sort))
+        call()
+    return counts["sort_order"], counts["np.sort"]
+
+
+@pytest.mark.parametrize("y_kind", ["distinct", "tied"])
+def test_y_is_sorted_once(y_kind):
+    rng = np.random.default_rng(21)
+    ys = rng.normal(size=300)
+    if y_kind == "tied":
+        ys = ys.round(1)
+    s = PairedSample(xs=rng.normal(size=300), ys=ys)
+    power1, power2, exp1 = (parse_kernel_spec(k) for k in ("power:1", "power:2", "exp:1"))
+    dist = std_normal_map()
+    # one sort of x, one of y
+    assert count_sorts(lambda: independence_test(s, exp1, "rank")) == (2, 0)
+    assert count_sorts(lambda: independence_test(s, power2, "simplified")) == (2, 0)
+    assert count_sorts(lambda: independence_test(s, power1, "chatterjee")) == (2, 0)
+    assert count_sorts(lambda: xi_rank(s, exp1)) == (2, 0)
+    assert count_sorts(lambda: chatterjee_reference(s)) == (2, 0)
+    # the plugin sorts x and F(y), and F(y) again for the moments
+    assert count_sorts(lambda: xi_plugin(s, exp1, dist)) == (2, 0)
+    assert count_sorts(lambda: independence_test(s, exp1, "plugin", dist)) == (3, 0)
