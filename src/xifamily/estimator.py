@@ -23,11 +23,11 @@ All operations are pure functions of (sample, seed). Every sort is
 ``_sorting.sort_order``, whose order is argsort's wherever the values are
 distinct. x is sorted once for its order and y once for its max-ranks
 (``_ranked``), which every rank-based output reads: the rank variants,
-``y_tied``, Chatterjee's tie denominator, Spearman's mid-ranks and, through
-the result, the independence test's moments. chi is built from the
-off-diagonal row sums of the mapped values in ascending order
-(``kernels._sorted_row_sums``, exact O(n log n) identities for the builtin
-kernels), which the rank variant reads off its ranks. zeta's kernel values and
+``y_tied``, Chatterjee's tie denominator and Spearman's mid-ranks; the
+plugin sorts F(y) once. chi is built from the off-diagonal row sums of the
+mapped values in ascending order (``kernels._sorted_row_sums``, exact
+O(n log n) identities for the builtin kernels), which the result keeps for
+the independence test's moments (``_u_sorted``). zeta's kernel values and
 chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
 returns math.fsum's value bit for bit, so chi is deterministic, independent
 of the order of the sample, and within 1e-12 relative of the exactly rounded
@@ -107,8 +107,9 @@ class CoefficientResult:
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
     read it off the max-ranks they compute anyway; it is None for the
-    plugin variant, which never ranks y. With tied y the private
-    ``_y_max_ranks`` keeps them in ascending order for the test's moments.
+    plugin variant, which never ranks y. The private ``_u_sorted`` hands the
+    test the mapped values chi reads in ascending order (F(y), or R/n for the
+    rank variants), or None where they are the grid 1/n, ..., 1 of distinct y.
     """
 
     xi: float
@@ -118,7 +119,7 @@ class CoefficientResult:
     n: int
     tie_seed: int
     y_tied: bool | None = None
-    _y_max_ranks: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _u_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def _has_ties(sorted_values: np.ndarray) -> bool:
@@ -182,9 +183,9 @@ def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return out, max_ranks
 
 
-def _ascending_u(max_ranks: np.ndarray | None, n: int) -> np.ndarray:
-    """The empirical CDF at a sample, R / n, in ascending order, from its sorted max-ranks."""
-    return (np.arange(1, n + 1) if max_ranks is None else max_ranks) / n
+def _ascending_u(u_sorted: np.ndarray | None, n: int) -> np.ndarray:
+    """The mapped values in ascending order: ``u_sorted``, or the grid 1/n, ..., 1 for None."""
+    return np.arange(1, n + 1) / n if u_sorted is None else u_sorted
 
 
 #: below this many values math.fsum beats the numpy call overhead of _fsum
@@ -291,24 +292,23 @@ def _pair_mean(v: np.ndarray, kernel: Kernel) -> float:
 
 def _coefficient_from_u(
     u_ordered: np.ndarray,
-    v: np.ndarray,
+    u_sorted: np.ndarray | None,
     kernel: Kernel,
     variant: str,
     tie_seed: int,
-    y_max_ranks: np.ndarray | None = None,
 ) -> CoefficientResult:
     zeta = _consecutive_mean(u_ordered, kernel)
-    chi = _pair_mean(v, kernel)
+    chi = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel)
     xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
     return CoefficientResult(
         xi=xi,
         zeta=zeta,
         normalization=chi,
         variant=variant,
-        n=v.size,
+        n=u_ordered.size,
         tie_seed=tie_seed,
-        y_tied=None if variant == "plugin" else y_max_ranks is not None,
-        _y_max_ranks=y_max_ranks,
+        y_tied=None if variant == "plugin" else u_sorted is not None,
+        _u_sorted=u_sorted,
     )
 
 
@@ -339,8 +339,8 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     r, max_ranks = _ranked(sample.ys)
     u_ordered = r[permutation] / sample.n
     del r  # freed before the row sums
-    v = _ascending_u(max_ranks, sample.n)
-    return _coefficient_from_u(u_ordered, v, kernel, "rank", tie_seed, max_ranks)
+    u_sorted = None if max_ranks is None else max_ranks / sample.n
+    return _coefficient_from_u(u_ordered, u_sorted, kernel, "rank", tie_seed)
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -378,7 +378,7 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
         n=sample.n,
         tie_seed=tie_seed,
         y_tied=max_ranks is not None,
-        _y_max_ranks=max_ranks,
+        _u_sorted=None if max_ranks is None else max_ranks / n,
     )
 
 
@@ -425,7 +425,7 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
         n=n,
         tie_seed=tie_seed,
         y_tied=max_ranks is not None,
-        _y_max_ranks=max_ranks,
+        _u_sorted=None if max_ranks is None else max_ranks / n,
     )
 
 

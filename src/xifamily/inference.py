@@ -18,8 +18,9 @@ kernels):
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
 added with ``estimator._fsum``, which returns math.fsum's exactly rounded
-value. The rank variants take those values, R/n in ascending order, from
-the max-ranks their coefficient sorted y for, so y is not sorted again.
+value. The test takes those values from its coefficient's result
+(``CoefficientResult._u_sorted``: F(y) for the plugin, R/n for the rank
+variants), so the moments neither map nor sort y again.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -184,11 +185,9 @@ def independence_test(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",
         )
-    elif rank_based:
-        u = _ascending_u(result._y_max_ranks, sample.n)
-        variance = _sigma2_sorted(u, kernel, "ustat_rank")
     else:
-        variance = sigma2_ustat(sample.ys, kernel, dist)
+        source = "ustat_rank" if rank_based or dist.kind == "empirical" else "ustat_plugin"
+        variance = _sigma2_sorted(_ascending_u(result._u_sorted, sample.n), kernel, source)
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -13,7 +14,8 @@ from xifamily.inference import (
     sigma2_power_closed_form,
     sigma2_ustat,
 )
-from xifamily.kernels import make_kernel
+from xifamily.kernels import make_kernel, parse_kernel_spec
+from xifamily.simulate import rep_seed
 
 POWER1 = make_kernel("power", gamma=1.0)
 POWER3 = make_kernel("power", gamma=3.0)
@@ -245,3 +247,64 @@ def test_duplicate_y_warning_fires_exactly_on_ties(variant, duplicate, n):
     assert any("duplicate y" in m for m in messages) == (duplicate != "none")
     y_tied = coefficient(s, variant, POWER1, dist).y_tied
     assert y_tied is (None if variant == "plugin" else duplicate != "none")
+
+
+# ------------------------------------------------------------ null level
+#
+# Seeded rejection rates of the one-sided 5% test under independence, on
+# the grid of ROADMAP.md item 1: x uniform, n = 500, 300 repetitions per
+# cell, the same 300 samples for every cell of a y kind. y is continuous
+# (declared so), 5-level or binary. Under a correct level the rejection
+# count is Binomial(300, 0.05), and [4, 29] is its equal-tailed 99.9%
+# region: P(X <= 3) = 1.6e-4 and P(X >= 30) = 2.8e-4.
+
+NULL_N = 500
+NULL_REPS = 300
+NULL_REJECTIONS = (4, 29)
+#: the simplified test normalizes by C_h, which tied y do not reach; these
+#: cells rejected 100%, 100% and 0.3% (binary) and 36%, 41% and 0% (5-level)
+SIMPLIFIED_TIED = pytest.mark.xfail(
+    strict=True, reason="ROADMAP.md item 1: the simplified test is miscalibrated on tied y"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def null_samples(y_kind):
+    samples = []
+    for rep in range(NULL_REPS):
+        rng = np.random.default_rng(rep_seed(2024, rep))
+        xs = rng.random(NULL_N)
+        if y_kind == "binary":
+            ys = rng.integers(0, 2, NULL_N).astype(float)
+        elif y_kind == "5-level":
+            ys = rng.integers(0, 5, NULL_N).astype(float)
+        else:
+            ys = rng.normal(size=NULL_N)
+        samples.append(PairedSample(xs=xs, ys=ys))
+    return samples
+
+
+def null_cells():
+    for y_kind in ["binary", "5-level", "continuous"]:
+        for variant in ["plugin", "rank", "simplified", "chatterjee"]:
+            # chatterjee fixes h = |u - v|
+            specs = ["power:1"] if variant == "chatterjee" else ["power:1", "exp:1", "expsq"]
+            tied_simplified = variant == "simplified" and y_kind != "continuous"
+            for spec in specs:
+                marks = SIMPLIFIED_TIED if tied_simplified else ()
+                yield pytest.param(
+                    variant, spec, y_kind, marks=marks, id=f"{variant}-{spec}-{y_kind}"
+                )
+
+
+@pytest.mark.parametrize("variant, spec, y_kind", null_cells())
+def test_null_rejection_rate_within_binomial_bound(variant, spec, y_kind):
+    kernel = parse_kernel_spec(spec)
+    dist = std_normal_map() if variant == "plugin" else None
+    continuous = y_kind == "continuous"
+    rejections = sum(
+        independence_test(s, kernel, variant, dist, continuous_y=continuous).p_one_sided < 0.05
+        for s in null_samples(y_kind)
+    )
+    low, high = NULL_REJECTIONS
+    assert low <= rejections <= high, f"{rejections} of {NULL_REPS} rejected at 5%"

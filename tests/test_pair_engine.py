@@ -26,11 +26,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from xifamily.cdf import DistMap, empirical_map, uniform_map
+from xifamily.cdf import DistMap, empirical_map, resolve_dist_spec, uniform_map
 from xifamily.errors import DegenerateDataError, NumericError
 from xifamily.estimator import (
     _EXACT_SUM_SIZES,
@@ -225,11 +225,13 @@ def test_power_routine_matches_blocked_path_at_large_n(shape, kernel):
     assert_close(est.sigma2, exact.sigma2, SIGMA2_REL_TOL, "sigma2")
 
 
-# ------------------------------------------------ the ranked-y moments
+# ------------------------------------------------ the test's moments
 #
-# The rank-based independence tests take their U-statistic moments from the
-# max-ranks the coefficient sorted y for; sigma2_ustat under the public
-# empirical map is their reference, bit for bit.
+# Every independence test takes its U-statistic moments from the sorted
+# mapped sample its coefficient's result keeps: R/n for the rank-based
+# variants, F(y) for the plugin. sigma2_ustat is their reference, bit for
+# bit: under the public empirical map for the rank-based variants, under
+# the plugin's own map for the plugin.
 
 RANKED_VARIANTS = ["rank", "simplified", "chatterjee"]
 
@@ -245,16 +247,16 @@ def ranked_y(shape, n, rng):
     return ys
 
 
-def check_ranked_variance(ys, kernel, variant):
+def check_test_variance(ys, kernel, variant, dist=None):
     sample = PairedSample(xs=np.random.default_rng(3).permutation(ys.size) * 1.0, ys=ys)
     moment_kernel = make_kernel("power", gamma=1.0) if variant == "chatterjee" else kernel
     try:
-        want = sigma2_ustat(ys, moment_kernel, empirical_map(ys))
+        want = sigma2_ustat(ys, moment_kernel, empirical_map(ys) if dist is None else dist)
     except (DegenerateDataError, NumericError) as exc:
         with pytest.raises(type(exc)):
-            independence_test(sample, kernel, variant)
+            independence_test(sample, kernel, variant, dist)
         return
-    got = independence_test(sample, kernel, variant).sigma2_used
+    got = independence_test(sample, kernel, variant, dist).sigma2_used
     assert (got.sigma2, got.components, got.source) == (want.sigma2, want.components, want.source)
 
 
@@ -263,11 +265,16 @@ def check_ranked_variance(ys, kernel, variant):
     st.integers(3, 200),
     st.integers(0, 2**32 - 1),
     st.sampled_from(KERNELS + [make_kernel("power", gamma=0.5)]),
-    st.sampled_from(RANKED_VARIANTS),
+    st.sampled_from(RANKED_VARIANTS + ["plugin"]),
+    st.sampled_from(["std-normal", "uniform:-1,1", "fit-normal", "empirical"]),
 )
-@settings(max_examples=200, deadline=None)
-def test_ranked_variance_equals_empirical_map_path(shape, n, seed, kernel, variant):
-    check_ranked_variance(ranked_y(shape, n, np.random.default_rng(seed)), kernel, variant)
+@settings(max_examples=300, deadline=None)
+def test_ranked_variance_equals_empirical_map_path(shape, n, seed, kernel, variant, spec):
+    ys = ranked_y(shape, n, np.random.default_rng(seed))
+    # the plugin runs under the map ``spec``; no normal map fits a constant y
+    plugin = variant == "plugin"
+    assume(not plugin or spec != "fit-normal" or np.ptp(ys) > 0.0)
+    check_test_variance(ys, kernel, variant, resolve_dist_spec(spec, ys) if plugin else None)
 
 
 @pytest.mark.parametrize("variant", RANKED_VARIANTS)
@@ -275,7 +282,7 @@ def test_ranked_variance_equals_empirical_map_path(shape, n, seed, kernel, varia
 def test_ranked_variance_at_packed_sort_size(shape, variant):
     # from 4096 values on, y is sorted by packed keys
     ys = ranked_y(shape, LARGE_N, np.random.default_rng(8))
-    check_ranked_variance(ys, make_kernel("exp", beta=1.0), variant)
+    check_test_variance(ys, make_kernel("exp", beta=1.0), variant)
 
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 0.5, 1.5, 2.0000001, 4.0])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xifamily import _sorting
-from xifamily.cdf import std_normal_map
+from xifamily.cdf import DistMap, std_normal_map
 from xifamily.estimator import (
     VARIANTS,
     PairedSample,
@@ -182,6 +182,11 @@ def test_y_is_sorted_once(y_kind):
     assert count_sorts(lambda: independence_test(s, power1, "chatterjee")) == (2, 0)
     assert count_sorts(lambda: xi_rank(s, exp1)) == (2, 0)
     assert count_sorts(lambda: chatterjee_reference(s)) == (2, 0)
-    # the plugin sorts x and F(y), and F(y) again for the moments
+    # the plugin sorts x and F(y); its test reads the sorted F(y) off the
+    # coefficient's result, so F is evaluated once per test
     assert count_sorts(lambda: xi_plugin(s, exp1, dist)) == (2, 0)
-    assert count_sorts(lambda: independence_test(s, exp1, "plugin", dist)) == (3, 0)
+    assert count_sorts(lambda: independence_test(s, exp1, "plugin", dist)) == (2, 0)
+    evaluated = []
+    counted = DistMap(kind=dist.kind, eval=lambda t: evaluated.append(1) or dist.eval(t))
+    independence_test(s, exp1, "plugin", counted)
+    assert len(evaluated) == 1
