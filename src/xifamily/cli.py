@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-col", required=True)
     p.add_argument("--y-col", required=True)
     p.add_argument("--continuous-y", action="store_true",
-                   help="declare y continuous, enabling the closed-form null variance")
+                   help="declare y continuous: closed-form null variance when y has no ties")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("rank", help="rank many series by dependence on x")

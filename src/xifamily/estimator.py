@@ -122,11 +122,6 @@ class CoefficientResult:
     _u_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def _has_ties(sorted_values: np.ndarray) -> bool:
-    """Whether a sorted array holds two equal values (-0.0 equals 0.0)."""
-    return bool(np.any(sorted_values[1:] == sorted_values[:-1]))
-
-
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
     """The permutation that sorts pairs by x, tied x's broken uniformly at random.
 
@@ -144,7 +139,7 @@ def _order_and_x_tied(sample: PairedSample, tie_seed: int) -> tuple[np.ndarray, 
     """``order_by_x``'s permutation and whether two x's are equal."""
     xs = sample.xs
     perm, ordered = sort_order(xs)
-    x_tied = _has_ties(ordered)
+    x_tied = bool(np.any(ordered[1:] == ordered[:-1]))
     if x_tied:
         keys = np.random.default_rng(tie_seed).random(sample.n)
         perm = np.lexsort((keys, xs))

@@ -8,7 +8,9 @@ asymptotically centered normal with variance
 where h_ij = h(F(y_i), F(y_j)) over iid copies of y. For the rank variants
 with continuous y, F(y) is uniform on [0,1] and the three moments reduce to
 unit-square integrals; for the power kernel |y-z|^gamma they evaluate in
-closed form (gamma = 1 gives 2/5, matching the classic rank correlation).
+closed form (gamma = 1 gives 2/5, matching the classic rank correlation),
+which the test takes when the caller declares y continuous and ranking y
+found no two equal values (``CoefficientResult.y_tied`` is False).
 Otherwise the moments are estimated from the sample by U-statistics over
 distinct index pairs and triples, from the row sums of the mapped values in
 ascending order (``kernels._sorted_row_sums``, O(n log n) for the builtin
@@ -30,7 +32,6 @@ The p-values come from ``math.erfc``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,7 +39,7 @@ import numpy as np
 
 from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _ascending_u, _fsum, _has_ties, coefficient
+from .estimator import PairedSample, _ascending_u, _fsum, coefficient
 from .kernels import Kernel, _sorted_row_sums, make_kernel
 
 if TYPE_CHECKING:
@@ -157,12 +158,11 @@ def independence_test(
     """Test independence of x and y via the normal limit of the coefficient.
 
     The closed-form variance is used when the variant is rank-based, the
-    kernel is a power kernel and the caller declares y continuous (the
-    ``chatterjee`` variant implies the power-1 kernel); otherwise the
-    variance is the U-statistic estimate, taken under the empirical CDF for
-    rank variants and under ``dist`` for the plugin. Continuity of y is a
-    caller declaration: duplicate values only trigger a warning, since ties
-    in floating-point data are not proof of discreteness.
+    kernel is a power kernel, the caller declares y continuous and no two
+    y's are equal (the ``chatterjee`` variant implies the power-1 kernel).
+    Otherwise the variance is the U-statistic estimate, taken under the
+    empirical CDF for rank variants and under ``dist`` for the plugin, so
+    tied y declared continuous are tested as if undeclared.
     """
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
@@ -170,17 +170,8 @@ def independence_test(
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)
 
-    # the rank-based variants found ties while ranking y; only plugin sorts here
-    y_tied = result.y_tied
-    if continuous_y and (_has_ties(np.sort(sample.ys)) if y_tied is None else y_tied):
-        warnings.warn(
-            "duplicate y values in data declared continuous; "
-            "the closed-form null variance may not apply",
-            stacklevel=2,
-        )
-
     rank_based = variant != "plugin"
-    if rank_based and kernel.name == "power" and continuous_y:
+    if rank_based and kernel.name == "power" and continuous_y and not result.y_tied:
         variance = VarianceEstimate(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",

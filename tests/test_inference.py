@@ -1,6 +1,5 @@
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -214,11 +213,18 @@ def test_small_n_rejected():
         independence_test(s, POWER1, variant="simplified")
 
 
-def test_duplicate_y_warns_when_declared_continuous():
+def test_declared_continuous_tied_y_take_the_ustat():
     s = PairedSample(
         xs=np.array([1.0, 2.0, 3.0, 4.0]), ys=np.array([1.0, 1.0, 2.0, 3.0])
     )
-    with pytest.warns(UserWarning, match="duplicate"):
+    result = independence_test(s, POWER1, variant="rank", continuous_y=True)
+    assert result.sigma2_used.source == "ustat_rank"
+
+
+def test_declared_continuous_constant_y_is_refused():
+    # the closed form gave z = 11.18 and p = 2.5e-29 here
+    s = PairedSample(xs=np.linspace(0.0, 1.0, 50), ys=np.full(50, 3.0))
+    with pytest.raises(DegenerateDataError, match="coincide"):
         independence_test(s, POWER1, variant="rank", continuous_y=True)
 
 
@@ -236,15 +242,14 @@ def _y_with(duplicate, n):
 @pytest.mark.parametrize("duplicate", ["none", "equal pair", "signed zeros"])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_duplicate_y_warning_fires_exactly_on_ties(variant, duplicate, n):
-    # the rank-based variants reuse the ties their ranking found; plugin
-    # sorts y itself; both must read -0.0 and 0.0 as a duplicate
+    # y declared continuous takes the closed form exactly where the variant
+    # is rank-based and the ranking found no two equal y's, reading -0.0
+    # and 0.0 as equal; the plugin always takes the U-statistic
     s = PairedSample(xs=np.linspace(-1.0, 1.0, n), ys=_y_with(duplicate, n))
     dist = std_normal_map() if variant == "plugin" else None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
-    messages = [str(w.message) for w in caught]
-    assert any("duplicate y" in m for m in messages) == (duplicate != "none")
+    closed_form = variant != "plugin" and duplicate == "none"
+    test = independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
+    assert (test.sigma2_used.source == "closed_form_power") == closed_form
     y_tied = coefficient(s, variant, POWER1, dist).y_tied
     assert y_tied is (None if variant == "plugin" else duplicate != "none")
 
@@ -293,15 +298,20 @@ def null_cells():
             for spec in specs:
                 marks = SIMPLIFIED_TIED if tied_simplified else ()
                 yield pytest.param(
-                    variant, spec, y_kind, marks=marks, id=f"{variant}-{spec}-{y_kind}"
+                    variant, spec, y_kind, y_kind == "continuous", marks=marks,
+                    id=f"{variant}-{spec}-{y_kind}",
                 )
+    # tied y declared continuous: the closed form rejected 39 of 300 here
+    for variant in ["rank", "chatterjee"]:
+        yield pytest.param(
+            variant, "power:1", "binary", True, id=f"{variant}-power:1-binary-declared-continuous"
+        )
 
 
-@pytest.mark.parametrize("variant, spec, y_kind", null_cells())
-def test_null_rejection_rate_within_binomial_bound(variant, spec, y_kind):
+@pytest.mark.parametrize("variant, spec, y_kind, continuous", null_cells())
+def test_null_rejection_rate_within_binomial_bound(variant, spec, y_kind, continuous):
     kernel = parse_kernel_spec(spec)
     dist = std_normal_map() if variant == "plugin" else None
-    continuous = y_kind == "continuous"
     rejections = sum(
         independence_test(s, kernel, variant, dist, continuous_y=continuous).p_one_sided < 0.05
         for s in null_samples(y_kind)

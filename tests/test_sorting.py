@@ -8,7 +8,6 @@ output must equal the argsort path's bit for bit.
 
 import contextlib
 import sys
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -119,9 +118,7 @@ def outputs(n, seed):
                 result = coefficient(s, variant, kernel, dist, 9)
                 out += [result.xi, result.zeta, result.normalization, result.y_tied]
                 for continuous in (False, True):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")  # the duplicate-y warning
-                        t = independence_test(s, kernel, variant, dist, 9, continuous)
+                    t = independence_test(s, kernel, variant, dist, 9, continuous)
                     out += [t.z, t.sigma2_used.sigma2, t.p_one_sided, t.p_two_sided]
     return out
 
@@ -186,6 +183,9 @@ def test_y_is_sorted_once(y_kind):
     # coefficient's result, so F is evaluated once per test
     assert count_sorts(lambda: xi_plugin(s, exp1, dist)) == (2, 0)
     assert count_sorts(lambda: independence_test(s, exp1, "plugin", dist)) == (2, 0)
+    # declaring y continuous adds no sort: the plugin never takes the closed form
+    declared = count_sorts(lambda: independence_test(s, power1, "plugin", dist, 0, True))
+    assert declared == (2, 0)
     evaluated = []
     counted = DistMap(kind=dist.kind, eval=lambda t: evaluated.append(1) or dist.eval(t))
     independence_test(s, exp1, "plugin", counted)
