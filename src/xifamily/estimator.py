@@ -102,8 +102,8 @@ class CoefficientResult:
     For the plugin and rank variants ``xi = 1 - zeta / normalization`` when
     the normalization is positive and 1 when it is zero; for the simplified
     variant the normalization is C_h. For the Chatterjee reference, zeta is
-    the raw consecutive rank-gap sum and the normalization is (n^2 - 1) / 3,
-    or 2 * sum_i l_i (n - l_i) / n when y has ties.
+    the raw consecutive rank-gap sum and the normalization is
+    2 * sum_i l_i (n - l_i) / n, which is (n^2 - 1) / 3 without tied y.
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
     read it off the max-ranks they compute anyway; it is None for the
@@ -385,9 +385,9 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
 
         xi = 1 - n * sum|R_[i+1] - R_[i]| / (2 * sum_i l_i (n - l_i)),
 
-    which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). Tied
-    y's take the general form in exact integer arithmetic, rounded once;
-    a constant y leaves it undefined and raises ``DegenerateDataError``.
+    which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). Both
+    are one ratio of integers, rounded once; a constant y leaves it
+    undefined and raises ``DegenerateDataError``.
     Tied x's are rejected too (use ``xi_rank`` there, which handles ties by
     construction).
     """
@@ -401,8 +401,7 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     # exact, and the same routine as the simplified power:1 zeta's numerator
     gap_sum = _rank_gap_power_sum(r[permutation], 1)
     if max_ranks is None:
-        normalization = (n**2 - 1) / 3.0
-        xi = 1.0 - gap_sum / normalization
+        spread = n * (n * n - 1) // 6  # l_i runs over 1, ..., n
     else:
         # l_i = #{j : y_j >= y_i}: n less the values before y_i's tied block
         at_least = n - max_ranks.searchsorted(max_ranks)
@@ -410,8 +409,8 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
         spread = sum((at_least * (n - at_least)).tolist())
         if spread == 0:
             raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
-        normalization = 2 * spread / n
-        xi = (2 * spread - n * gap_sum) / (2 * spread)
+    normalization = 2 * spread / n
+    xi = (2 * spread - n * gap_sum) / (2 * spread)
     return CoefficientResult(
         xi=xi,
         zeta=float(gap_sum),

@@ -362,18 +362,20 @@ def test_chatterjee_gap_sum_equals_fsum_of_gaps():
     gaps = np.abs(np.diff(ranks(s.ys)[order_by_x(s)]))
     result = chatterjee_reference(s)
     assert result.zeta == math.fsum(gaps.astype(float).tolist())
-    assert result.xi == 1.0 - result.zeta / ((n**2 - 1) / 3.0)
+    assert result.xi == float(Fraction(n**2 - 1 - 3 * int(gaps.sum()), n**2 - 1))
 
 
 def test_chatterjee_without_ties_keeps_its_bits():
-    # values of the (n^2 - 1)/3 form, pinned before the tied-y form was added
+    # xi is 1 - 3 * gap sum / (n^2 - 1) rounded once, and the normalization
+    # keeps the bits of (n^2 - 1) / 3.0; at n = 1000 and 5000 the earlier
+    # float form 1 - gap sum / ((n^2 - 1) / 3.0) was 28 and 95 ulps off
     rng = np.random.default_rng(2021)
-    pinned = {3: "0x1.0000000000000p-2", 1000: "0x1.bb40d05b04700p-7",
-              5000: "0x1.53607b21f5200p-9"}
-    for n, xi_hex in pinned.items():
+    for n in (3, 1000, 5000):
         s = sample(rng.normal(size=n), rng.normal(size=n))
+        gaps = int(np.abs(np.diff(ranks(s.ys)[order_by_x(s)])).sum())
         result = chatterjee_reference(s)
-        assert result.xi.hex() == xi_hex
+        assert result.xi == float(Fraction(n**2 - 1 - 3 * gaps, n**2 - 1))
+        assert result.normalization == (n**2 - 1) / 3.0
         assert result.y_tied is False
 
 
@@ -389,9 +391,11 @@ def test_chatterjee_tied_y_hand_cases():
 
 
 def test_chatterjee_tied_y_is_rounded_once():
+    # the general form holds for distinct y too, where l_i runs over 1..n
     rng = np.random.default_rng(8)
-    for n in (5, 60, 5000):
-        s = sample(rng.normal(size=n), rng.integers(0, 4, n))
+    tied = [sample(rng.normal(size=n), rng.integers(0, 4, n)) for n in (5, 60, 5000)]
+    for s in tied + [sample(rng.normal(size=1000), rng.normal(size=1000))]:
+        n = s.n
         gaps = int(np.abs(np.diff(ranks(s.ys)[order_by_x(s)])).sum())
         at_least = [int((s.ys >= y).sum()) for y in s.ys]
         spread = sum(k * (n - k) for k in at_least)
