@@ -162,11 +162,18 @@ def independence_test(
     y's are equal (the ``chatterjee`` variant implies the power-1 kernel).
     Otherwise the variance is the U-statistic estimate, taken under the
     empirical CDF for rank variants and under ``dist`` for the plugin, so
-    tied y declared continuous are tested as if undeclared.
+    tied y declared continuous are tested as if undeclared. The simplified
+    variant refuses tied y with ``DegenerateDataError``: its C_h is the
+    pairwise normalization of continuous y only.
     """
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
     result = coefficient(sample, variant, kernel, dist, tie_seed)
+    if variant == "simplified" and result.y_tied:
+        raise DegenerateDataError(
+            "tied y: the simplified test's C_h normalization assumes continuous y; "
+            "use the rank variant"
+        )
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)
 

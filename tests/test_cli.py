@@ -343,6 +343,17 @@ def test_test_small_n_exit_3(tmp_path, capsys):
     assert "n >= 3" in capsys.readouterr().err
 
 
+def test_test_simplified_tied_y_exit_3(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    levels = rng.integers(0, 5, 200).astype(float)
+    path = write_csv(tmp_path / "levels.csv", ["x", "y"], [rng.random(200), levels])
+    code = main([
+        "test", "--file", path, "--x-col", "x", "--y-col", "y", "--variant", "simplified",
+    ])
+    assert code == 3
+    assert "rank" in capsys.readouterr().err
+
+
 def test_null_p_values_look_uniform(tmp_path, capsys):
     # median of one-sided p over independent datasets should sit mid-range
     p_values = []

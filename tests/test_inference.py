@@ -248,8 +248,12 @@ def test_duplicate_y_warning_fires_exactly_on_ties(variant, duplicate, n):
     s = PairedSample(xs=np.linspace(-1.0, 1.0, n), ys=_y_with(duplicate, n))
     dist = std_normal_map() if variant == "plugin" else None
     closed_form = variant != "plugin" and duplicate == "none"
-    test = independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
-    assert (test.sigma2_used.source == "closed_form_power") == closed_form
+    if variant == "simplified" and duplicate != "none":
+        with pytest.raises(DegenerateDataError, match="rank"):
+            independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
+    else:
+        test = independence_test(s, POWER1, variant=variant, dist=dist, continuous_y=True)
+        assert (test.sigma2_used.source == "closed_form_power") == closed_form
     y_tied = coefficient(s, variant, POWER1, dist).y_tied
     assert y_tied is (None if variant == "plugin" else duplicate != "none")
 
@@ -259,18 +263,15 @@ def test_duplicate_y_warning_fires_exactly_on_ties(variant, duplicate, n):
 # Seeded rejection rates of the one-sided 5% test under independence, on
 # the grid of ROADMAP.md item 1: x uniform, n = 500, 300 repetitions per
 # cell, the same 300 samples for every cell of a y kind. y is continuous
-# (declared so), 5-level or binary. Under a correct level the rejection
-# count is Binomial(300, 0.05), and [4, 29] is its equal-tailed 99.9%
-# region: P(X <= 3) = 1.6e-4 and P(X >= 30) = 2.8e-4.
+# (declared so), 5-level or binary, and binary declared continuous. Under
+# a correct level the rejection count is Binomial(300, 0.05), and [4, 29]
+# is its equal-tailed 99.9% region: P(X <= 3) = 1.6e-4 and
+# P(X >= 30) = 2.8e-4. The simplified test refuses tied y, so its tied
+# cells check that every repetition is refused (C_h rejected up to 100%).
 
 NULL_N = 500
 NULL_REPS = 300
 NULL_REJECTIONS = (4, 29)
-#: the simplified test normalizes by C_h, which tied y do not reach; these
-#: cells rejected 100%, 100% and 0.3% (binary) and 36%, 41% and 0% (5-level)
-SIMPLIFIED_TIED = pytest.mark.xfail(
-    strict=True, reason="ROADMAP.md item 1: the simplified test is miscalibrated on tied y"
-)
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,12 +295,9 @@ def null_cells():
         for variant in ["plugin", "rank", "simplified", "chatterjee"]:
             # chatterjee fixes h = |u - v|
             specs = ["power:1"] if variant == "chatterjee" else ["power:1", "exp:1", "expsq"]
-            tied_simplified = variant == "simplified" and y_kind != "continuous"
             for spec in specs:
-                marks = SIMPLIFIED_TIED if tied_simplified else ()
                 yield pytest.param(
-                    variant, spec, y_kind, y_kind == "continuous", marks=marks,
-                    id=f"{variant}-{spec}-{y_kind}",
+                    variant, spec, y_kind, y_kind == "continuous", id=f"{variant}-{spec}-{y_kind}"
                 )
     # tied y declared continuous: the closed form rejected 39 of 300 here
     for variant in ["rank", "chatterjee"]:
@@ -312,6 +310,11 @@ def null_cells():
 def test_null_rejection_rate_within_binomial_bound(variant, spec, y_kind, continuous):
     kernel = parse_kernel_spec(spec)
     dist = std_normal_map() if variant == "plugin" else None
+    if variant == "simplified" and y_kind != "continuous":
+        for s in null_samples(y_kind):
+            with pytest.raises(DegenerateDataError, match="rank"):
+                independence_test(s, kernel, variant, dist, continuous_y=continuous)
+        return
     rejections = sum(
         independence_test(s, kernel, variant, dist, continuous_y=continuous).p_one_sided < 0.05
         for s in null_samples(y_kind)
