@@ -366,9 +366,8 @@ def test_chatterjee_gap_sum_equals_fsum_of_gaps():
 
 
 def test_chatterjee_without_ties_keeps_its_bits():
-    # xi is 1 - 3 * gap sum / (n^2 - 1) rounded once, and the normalization
-    # keeps the bits of (n^2 - 1) / 3.0; at n = 1000 and 5000 the earlier
-    # float form 1 - gap sum / ((n^2 - 1) / 3.0) was 28 and 95 ulps off
+    # xi is 1 - 3 * gap sum / (n^2 - 1) rounded once (1 - gap sum / ((n^2 - 1) / 3.0)
+    # is 28 and 95 ulps off at n = 1000 and 5000); the normalization is (n^2 - 1) / 3.0
     rng = np.random.default_rng(2021)
     for n in (3, 1000, 5000):
         s = sample(rng.normal(size=n), rng.normal(size=n))

@@ -222,7 +222,7 @@ def test_declared_continuous_tied_y_take_the_ustat():
 
 
 def test_declared_continuous_constant_y_is_refused():
-    # the closed form gave z = 11.18 and p = 2.5e-29 here
+    # the closed form would give z = 11.18 and p = 2.5e-29 on this null sample
     s = PairedSample(xs=np.linspace(0.0, 1.0, 50), ys=np.full(50, 3.0))
     with pytest.raises(DegenerateDataError, match="coincide"):
         independence_test(s, POWER1, variant="rank", continuous_y=True)
@@ -299,7 +299,7 @@ def null_cells():
                 yield pytest.param(
                     variant, spec, y_kind, y_kind == "continuous", id=f"{variant}-{spec}-{y_kind}"
                 )
-    # tied y declared continuous: the closed form rejected 39 of 300 here
+    # tied y declared continuous, where the closed form would reject 39 of 300
     for variant in ["rank", "chatterjee"]:
         yield pytest.param(
             variant, "power:1", "binary", True, id=f"{variant}-power:1-binary-declared-continuous"
