@@ -1,5 +1,10 @@
 """One sort for every ordering step (x-order, ranks, mid-ranks, row sums), and
-the cache-sized blocks that keep n-sized temporaries out of the hot paths."""
+the cache-sized blocks that keep n-sized temporaries out of the hot paths.
+
+From ``_PACKED_SORT_MIN`` values on, a sort is an in-place int64 sort of
+packed keys (``packed_sort``): a value's order-preserving high bits over a
+tag, an index or a rank, in the low bits. ``sort_order`` checks the result on
+the gathered values, ``settle`` on the few keys that share their high bits."""
 
 from __future__ import annotations
 
@@ -18,6 +23,10 @@ _NON_SIGN_BITS = 0x7FFF_FFFF_FFFF_FFFF
 #: after every call and page-faulted in again, a block of this size is not
 BLOCK = 2**14
 
+#: ``settle`` repairs up to this many runs of keys one by one; more take one
+#: stable argsort of the whole array, which bounds the Python loop
+_RUN_REPAIRS = 64
+
 
 def blocks(n: int, size: int = BLOCK):
     """``(start, stop)`` bounds that cover range(n) in pieces of ``size``."""
@@ -25,14 +34,75 @@ def blocks(n: int, size: int = BLOCK):
         yield start, min(start + size, n)
 
 
+def scatter_ramp(out: np.ndarray, order: np.ndarray, first: int = 0) -> None:
+    """``out[order] = first, first + 1, ...``, one block of the ramp at a time."""
+    for start, stop in blocks(order.size):
+        out[order[start:stop]] = np.arange(start + first, stop + first)
+
+
+def packed_sort(values: np.ndarray, key: np.ndarray, bits: int) -> None:
+    """OR each value's high bits into ``key``, which holds one tag below 2**bits
+    per value, and sort it in place: value order, except that values sharing
+    their high bits come out in tag order.
+
+    A float's bits order like the float once the non-sign bits of negatives
+    are flipped; -0.0 is made 0.0 first, so equal values share their bits.
+    """
+    high = -1 << bits
+    for start, stop in blocks(values.size):
+        image = np.add(values[start:stop], 0.0).view(np.int64)  # -0.0 + 0.0 is 0.0
+        flips = image >> 63  # -1 for a set sign bit, else 0
+        flips &= _NON_SIGN_BITS
+        image ^= flips
+        image &= high
+        key[start:stop] |= image
+    key.sort()
+
+
+def settle(key: np.ndarray, bits: int, value_of) -> bool:
+    """Put ``packed_sort``-ed keys into value order, or return True on two equal values.
+
+    Only keys that share their high bits can be out of value order or tied,
+    so only their values are looked up, by ``value_of(tags)``. Each run of
+    them is re-sorted by value; on equal values ``key`` is left unfinished.
+    """
+    low = (1 << bits) - 1
+    collided = []
+    for start, stop in blocks(key.size - 1):
+        shared = key[start:stop] ^ key[start + 1 : stop + 1]
+        shared >>= bits
+        pairs = np.flatnonzero(shared == 0) + start
+        if pairs.size:
+            if (value_of(key[pairs] & low) == value_of(key[pairs + 1] & low)).any():
+                return True
+            collided.append(key[pairs] >> bits)
+    if not collided:
+        return False
+    heads = np.unique(np.concatenate(collided))
+    if heads.size > _RUN_REPAIRS:
+        runs = [(0, key.size)]
+    else:
+        runs = [
+            (key.searchsorted(head << bits), key.searchsorted(head << bits | low, side="right"))
+            for head in heads.tolist()
+        ]
+    for start, stop in runs:
+        run = key[start:stop]
+        values = value_of(run & low)
+        repair = np.argsort(values, kind="stable")
+        values = values[repair]
+        if (values[1:] == values[:-1]).any():
+            return True
+        key[start:stop] = run[repair]
+    return False
+
+
 def sort_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(order, values[order])`` with ``values[order]`` ascending, NaNs last.
 
     Below ``_PACKED_SORT_MIN`` values this is ``np.argsort`` and a gather.
-    From there the order comes from one int64 ``sort`` of packed keys, which
-    numpy runs with its SIMD integer sort: each float's bits, with the
-    non-sign bits of negatives flipped so that integer order is float order,
-    keep their high bits and carry the index in the low
+    From there the order comes from one ``packed_sort`` of the indices,
+    which numpy runs with its SIMD integer sort; the indices take the low
     ``(n - 1).bit_length()`` bits. Values that share their kept high bits
     then come out in index order, which may not be value order, and a NaN
     of either sign lands at an end of its own. A check on the gathered
@@ -46,14 +116,13 @@ def sort_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(values)
         return order, values[order]
     bits = (n - 1).bit_length()
-    raw = values.view(np.int64)
-    key = raw >> 63  # -1 for a set sign bit, else 0
-    key &= _NON_SIGN_BITS
-    key ^= raw
-    key &= -1 << bits
-    for start, stop in blocks(n):
-        key[start:stop] |= np.arange(start, stop)
-    key.sort()
+    key = np.arange(n, dtype=np.int64)
+    packed_sort(values, key, bits)
+    return gathered(key, bits, values)
+
+
+def gathered(key: np.ndarray, bits: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sort_order(values)`` from ``packed_sort``-ed index keys, which it overwrites."""
     key &= (1 << bits) - 1
     order = key
     ordered = values[order]

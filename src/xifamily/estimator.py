@@ -19,13 +19,17 @@ which is also provided directly as a reference. ``coefficient`` selects a
 member by its name in ``VARIANTS``; the CLI, the simulation harness and
 the independence test all go through it.
 
-All operations are pure functions of (sample, seed). Every sort is
-``_sorting.sort_order``, whose order is argsort's wherever the values are
-distinct. x is sorted once for its order and y once for its max-ranks
-(``_ranked``), which every rank-based output reads: the rank variants,
-``y_tied``, Chatterjee's tie denominator and Spearman's mid-ranks; the
-plugin sorts F(y) once. chi is built from the off-diagonal row sums of the
-mapped values in ascending order (``kernels._sorted_row_sums``, exact
+All operations are pure functions of (sample, seed). Every sort orders
+by value as argsort does wherever the values are distinct. The rank
+variants read one thing from the data, the ranks of y in x-order
+(``_ranks_in_x_order``): from ``_sorting._PACKED_SORT_MIN`` values on,
+distinct x and y give them by two in-place sorts of packed int64 keys, y's
+indices by y and then y's ranks by x, with no gather. Below that, and on
+tied x or y, x is sorted once for its order (``_sorting.sort_order``) and y
+once for its max-ranks (``_ranked``), which every rank-based output reads:
+the rank variants, ``y_tied``, Chatterjee's tie denominator and Spearman's
+mid-ranks; the plugin sorts F(y) once. chi is built from the off-diagonal
+row sums of the mapped values in ascending order (``kernels._sorted_row_sums``, exact
 O(n log n) identities for the builtin kernels), which the result keeps for
 the independence test's moments (``_u_sorted``). zeta's kernel values and
 chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
@@ -45,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._sorting import BLOCK, blocks, sort_order
+from . import _sorting
+from ._sorting import BLOCK, blocks, gathered, packed_sort, scatter_ramp, settle, sort_order
 from .cdf import DistMap
 from .errors import DegenerateDataError, NumericError
 from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, normalization_constant
@@ -141,9 +146,14 @@ def _order_and_x_tied(sample: PairedSample, tie_seed: int) -> tuple[np.ndarray, 
     perm, ordered = sort_order(xs)
     x_tied = bool(np.any(ordered[1:] == ordered[:-1]))
     if x_tied:
-        keys = np.random.default_rng(tie_seed).random(sample.n)
-        perm = np.lexsort((keys, xs))
+        perm = _x_tie_break(sample, tie_seed)
     return perm, x_tied
+
+
+def _x_tie_break(sample: PairedSample, tie_seed: int) -> np.ndarray:
+    """The x-order with each block of tied x's shuffled by keys drawn from ``tie_seed``."""
+    keys = np.random.default_rng(tie_seed).random(sample.n)
+    return np.lexsort((keys, sample.xs))
 
 
 def ranks(ys) -> np.ndarray:
@@ -154,14 +164,13 @@ def ranks(ys) -> np.ndarray:
     tied block. NaNs sort last and form one block, so all of them rank at
     the count of values.
     """
-    return _ranked(np.asarray(ys, dtype=float))[0]
+    return _ranked(*sort_order(np.asarray(ys, dtype=float)))[0]
 
 
-def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(ranks(values), max_ranks)``: ``max_ranks`` are the ranks in ascending
-    order, or None when no two values are equal, where they are 1..n."""
-    n = values.size
-    order, ordered = sort_order(values)
+def _ranked(order: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(ranks(values), max_ranks)`` from ``sort_order(values)``: ``max_ranks`` are
+    the ranks in ascending order, or None when no two values are equal (1..n)."""
+    n = order.size
     tied = ordered[1:] == ordered[:-1]
     tied[ordered.searchsorted(np.nan):] = True  # NaN != NaN, but they share a block
     out = np.empty(n, dtype=np.intp)
@@ -173,9 +182,45 @@ def _ranked(values: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         max_ranks = np.minimum.accumulate(positions[::-1])[::-1]
         out[order] = max_ranks
     else:
-        for start, stop in blocks(n):
-            out[order[start:stop]] = np.arange(start + 1, stop + 1)
+        scatter_ramp(out, order, 1)
     return out, max_ranks
+
+
+def _ranks_in_x_order(
+    sample: PairedSample, tie_seed: int
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """``(ranks(ys)[order_by_x(sample, tie_seed)], max_ranks, x_tied)``, with
+    ``_ranked``'s ``max_ranks`` and ``x_tied`` whether two x's are equal.
+
+    From ``_PACKED_SORT_MIN`` values on, two ``packed_sort``s and no gather:
+    y's indices sorted by y give y's order; 0, ..., n-1 scattered through it
+    (the ranks less one) and sorted by x come out in x-order. Tied y take
+    their max-ranks from the first sort and ``order_by_x``; tied x keep the
+    y ranks and take its seeded tie-break.
+    """
+    n = sample.n
+    xs, ys = sample.xs, sample.ys
+    if n < _sorting._PACKED_SORT_MIN:
+        r, max_ranks = _ranked(*sort_order(ys))
+    else:
+        bits = (n - 1).bit_length()
+        y_order = np.arange(n, dtype=np.int64)
+        packed_sort(ys, y_order, bits)
+        if settle(y_order, bits, ys.take):
+            r, max_ranks = _ranked(*gathered(y_order, bits, ys))
+        else:
+            y_order &= (1 << bits) - 1
+            r_ordered = np.empty(n, dtype=np.int64)
+            scatter_ramp(r_ordered, y_order)
+            packed_sort(xs, r_ordered, bits)
+            if not settle(r_ordered, bits, lambda ranks: xs.take(y_order.take(ranks))):
+                r_ordered &= (1 << bits) - 1
+                r_ordered += 1
+                return r_ordered, None, False
+            scatter_ramp(r_ordered, y_order, 1)  # now ranks(ys), by index
+            return r_ordered[_x_tie_break(sample, tie_seed)], None, True
+    permutation, x_tied = _order_and_x_tied(sample, tie_seed)
+    return r[permutation], max_ranks, x_tied
 
 
 def _ascending_u(u_sorted: np.ndarray | None, n: int) -> np.ndarray:
@@ -330,10 +375,9 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     Uses u_i = R_i / n with the max-rank convention; agrees exactly with
     ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
     """
-    permutation = order_by_x(sample, tie_seed)
-    r, max_ranks = _ranked(sample.ys)
-    u_ordered = r[permutation] / sample.n
-    del r  # freed before the row sums
+    r_ordered, max_ranks, _ = _ranks_in_x_order(sample, tie_seed)
+    u_ordered = r_ordered / sample.n
+    del r_ordered  # freed before the row sums
     u_sorted = None if max_ranks is None else max_ranks / sample.n
     return _coefficient_from_u(u_ordered, u_sorted, kernel, "rank", tie_seed)
 
@@ -355,9 +399,7 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     if c_h <= 0.0:
         raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
     n = sample.n
-    permutation = order_by_x(sample, tie_seed)
-    r, max_ranks = _ranked(sample.ys)
-    r_ordered = r[permutation]
+    r_ordered, max_ranks, _ = _ranks_in_x_order(sample, tie_seed)
     gamma = _exact_gap_power(kernel, n)
     if gamma is not None:
         zeta = _rank_gap_power_sum(r_ordered, gamma) / n ** (gamma + 1)
@@ -392,14 +434,13 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     construction).
     """
     n = sample.n
-    permutation, x_tied = _order_and_x_tied(sample, tie_seed)
+    r_ordered, max_ranks, x_tied = _ranks_in_x_order(sample, tie_seed)
     if x_tied:
         raise DegenerateDataError(
             "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
         )
-    r, max_ranks = _ranked(sample.ys)
     # exact, and the same routine as the simplified power:1 zeta's numerator
-    gap_sum = _rank_gap_power_sum(r[permutation], 1)
+    gap_sum = _rank_gap_power_sum(r_ordered, 1)
     if max_ranks is None:
         spread = n * (n * n - 1) // 6  # l_i runs over 1, ..., n
     else:
@@ -467,7 +508,7 @@ def pearson(sample: PairedSample) -> float:
 def _mid_ranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks: each tied block gets the mean of the 1-based positions it spans,
     from where its max-rank R first appears among the sorted max-ranks to R."""
-    r, max_ranks = _ranked(values)
+    r, max_ranks = _ranked(*sort_order(values))
     if max_ranks is None:
         return r.astype(float)
     return (max_ranks.searchsorted(r) + 1 + r) / 2.0

@@ -12,10 +12,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xifamily import _sorting
+from xifamily import _sorting, estimator
 from xifamily.cdf import DistMap, std_normal_map
 from xifamily.errors import DegenerateDataError
 from xifamily.estimator import (
@@ -28,6 +28,7 @@ from xifamily.estimator import (
     spearman,
     xi_plugin,
     xi_rank,
+    xi_simplified,
 )
 from xifamily.inference import independence_test
 from xifamily.kernels import kernel_row_sums, parse_kernel_spec
@@ -55,6 +56,11 @@ def make_values(kind, n, rng):
     if kind == "subnormal":
         # distinct multiples of the smallest subnormal, of both signs
         return rng.permutation(np.arange(-(n // 2), n - n // 2)) * 5e-324
+    if kind == "ulp pairs":
+        # n / 2 pairs of neighbouring floats: as many runs of keys that
+        # share their kept high bits, each needing the repair
+        base = rng.normal(size=n - n // 2)
+        return rng.permutation(np.concatenate((base, np.nextafter(base[: n // 2], np.inf))))
     # distinct values within a few ulps of 1.0 share their kept high bits,
     # so the packed keys come out in index order and need the repair
     return rng.permutation(1.0 + np.arange(n) * 2.0**-52)
@@ -139,6 +145,108 @@ def test_outputs_equal_the_argsort_path_bit_for_bit(n):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         else:
             assert a == b or (a != a and b != b)
+
+
+# ------------------------------------------------------- ranks in x-order
+
+
+def check_ranks_in_x_order(xs, ys, seed):
+    """``estimator._ranks_in_x_order`` against max-ranks by searchsorted read
+    in the (x, seeded key) lexsort order, and ties counted by ``np.unique``."""
+    n = xs.size
+    r_ordered, max_ranks, x_tied = estimator._ranks_in_x_order(PairedSample(xs=xs, ys=ys), seed)
+    permutation = np.lexsort((np.random.default_rng(seed).random(n), xs))
+    expected = np.searchsorted(np.sort(ys), ys, side="right")[permutation]
+    assert r_ordered.dtype == np.intp and np.array_equal(r_ordered, expected)
+    assert x_tied == (np.unique(xs).size < n)
+    if np.unique(ys).size < n:
+        assert max_ranks.dtype == np.intp and np.array_equal(max_ranks, np.sort(expected))
+    else:
+        assert max_ranks is None
+
+
+NEAR_ONE = st.integers(0, 200).map(lambda k: 1.0 + k * 2.0**-52)
+COORDINATE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), NEAR_ONE, st.sampled_from([-0.0, 0.0])
+)
+
+
+A, B = 1.0 + 2.0**-52, 1.0 + 2.0**-51  # one run of shared kept bits at n = 3
+
+
+@given(st.lists(st.tuples(COORDINATE, COORDINATE), min_size=2, max_size=40), st.sampled_from([0, 7]))
+@example([(0.0, A), (1.0, B), (2.0, A)], 0)  # y tied only once its run is in value order
+@example([(A, 0.0), (B, 1.0), (A, 2.0)], 0)  # the same for x, whose tags are the y ranks
+@settings(max_examples=300, deadline=None)
+def test_ranks_in_x_order_on_any_floats(pairs, seed):
+    # the threshold lowered to 1 so that short drawn samples take both packed sorts
+    xs, ys = np.array(pairs, dtype=float).T.copy()
+    with mock.patch.object(_sorting, "_PACKED_SORT_MIN", 1):
+        check_ranks_in_x_order(xs, ys, seed)
+
+
+RANK_KINDS = ["distinct", "near one", "signed zeros", "subnormal", "integer ties", "ulp pairs"]
+
+
+@pytest.mark.parametrize("n", [MIN, 3 * MIN])
+@pytest.mark.parametrize("x_kind", RANK_KINDS)
+@pytest.mark.parametrize("y_kind", RANK_KINDS)
+def test_ranks_in_x_order_from_packed_keys(y_kind, x_kind, n):
+    rng = np.random.default_rng([n, RANK_KINDS.index(x_kind), RANK_KINDS.index(y_kind)])
+    check_ranks_in_x_order(make_values(x_kind, n, rng), make_values(y_kind, n, rng), 3)
+
+
+def count_orderings(call):
+    """``(sort_order calls, order_by_x calls)`` made by ``call()``; an
+    ``order_by_x`` call is counted by the function that computes it."""
+    counted = {"order_by_x": 0}
+    original = estimator._order_and_x_tied
+
+    def counted_order(*args):
+        counted["order_by_x"] += 1
+        return original(*args)
+
+    with mock.patch.object(estimator, "_order_and_x_tied", counted_order):
+        return count_sorts(call)[0], counted["order_by_x"]
+
+
+def separate_sorts(sample, tie_seed):
+    """The ranks of y in x-order from one sort per coordinate and a gather."""
+    permutation, x_tied = estimator._order_and_x_tied(sample, tie_seed)
+    r, max_ranks = estimator._ranked(*_sorting.sort_order(sample.ys))
+    return r[permutation], max_ranks, x_tied
+
+
+def result_or_refusal(call):
+    try:
+        result = call()
+    except DegenerateDataError as exc:
+        return type(exc).__name__, str(exc)
+    u_sorted = None if result._u_sorted is None else result._u_sorted.tobytes()
+    return result.xi, result.zeta, result.normalization, result.y_tied, u_sorted
+
+
+@pytest.mark.parametrize("n", [MIN, 3 * MIN])
+def test_rank_variants_take_two_packed_sorts(n):
+    rng = np.random.default_rng(n + 1)
+    xs = rng.normal(size=n)
+    ys = xs + rng.normal(size=n)
+    power1, exp1 = parse_kernel_spec("power:1"), parse_kernel_spec("exp:1")
+    calls = [
+        lambda s: xi_simplified(s, power1, 5),
+        lambda s: xi_simplified(s, exp1, 5),
+        lambda s: xi_rank(s, exp1, 5),
+        lambda s: chatterjee_reference(s, 5),
+    ]
+    distinct = PairedSample(xs=xs, ys=ys)
+    tied = [PairedSample(xs=xs, ys=ys.round(1)), PairedSample(xs=xs.round(1), ys=ys)]
+    for call in calls:
+        # distinct x and y sort neither coordinate with sort_order
+        assert count_orderings(lambda: call(distinct)) == (0, 0)
+        for s in [distinct, *tied]:
+            taken = result_or_refusal(lambda: call(s))
+            with mock.patch.object(estimator, "_ranks_in_x_order", separate_sorts):
+                assert taken == result_or_refusal(lambda: call(s))
 
 
 # ------------------------------------------------------------ sort counts
