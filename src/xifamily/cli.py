@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 import warnings
@@ -296,7 +297,9 @@ def _dump_samples(dump_dir, model, sigma, n, reps, base_seed):
                 writer.writerow([repr(float(x)), repr(float(y))])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="xifamily",
         description="Kernel-generalized rank correlation coefficients",

@@ -33,6 +33,35 @@ def parse_kv(text):
     return out
 
 
+def test_parser_built_once_gives_fresh_output(tmp_path, capsys):
+    # main reuses one parser; an append option given twice and a store_true
+    # flag followed by a call without it must leave nothing for the next call
+    xs = np.random.default_rng(3).random(300)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], [xs, xs + np.random.default_rng(4).random(300)])
+    simulate = ["simulate", "--model", "linear", "--sigma", "0.5", "--n", "40", "--reps", "3"]
+    test = ["test", "--file", path, "--x-col", "x", "--y-col", "y", "--variant", "rank"]
+    calls = [
+        simulate + ["--method", "rank,power:1", "--method", "simplified,power:2"],
+        simulate + ["--method", "chatterjee"],
+        test + ["--continuous-y"],
+        test,
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert cli.build_parser() is cli.build_parser()
+    assert [run(argv) for argv in calls] == fresh
+    assert fresh[0][1].count("\n") == 3 and fresh[1][1].count("\n") == 2
+    assert "closed_form_power" in fresh[2][1] and "ustat_rank" in fresh[3][1]
+
+
 # ---------------------------------------------------------------- loading
 
 def test_load_csv_reports_bad_cell(tmp_path):
