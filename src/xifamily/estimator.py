@@ -218,6 +218,7 @@ def _ranks_in_x_order(
                 r_ordered += 1
                 return r_ordered, None, False
             scatter_ramp(r_ordered, y_order, 1)  # now ranks(ys), by index
+            del y_order  # freed before the tie-break sorts
             return r_ordered[_x_tie_break(sample, tie_seed)], None, True
     permutation, x_tied = _order_and_x_tied(sample, tie_seed)
     return r[permutation], max_ranks, x_tied
