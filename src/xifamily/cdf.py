@@ -5,9 +5,10 @@ or explicit (mu, sigma), a uniform CDF on [a, b], and the empirical CDF of
 the observed sample. All maps are immutable, deterministic functions of
 their construction inputs and accept scalars or numpy arrays.
 
-The normal maps evaluate scipy's vectorized ``ndtr``. scipy.special is
-imported only when one of them is built or called, so importing the package
-does not pay for it (about 0.3 s and 25 MB).
+The normal maps evaluate ``_ndtr``, Cephes' ``ndtr`` (the rational
+approximations of erf and erfc by Cody, Math. Comp. 23 (1969), as coded by
+S. L. Moshier, which is also what scipy.special runs) in numpy, so the
+package needs nothing beyond numpy at run time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._sorting import BLOCK, blocks
 from .errors import DegenerateDataError
 
 __all__ = [
@@ -42,16 +44,17 @@ class DistMap:
 
 
 def std_normal_cdf(t):
-    """Standard normal CDF, exact to double precision (|error| < 1e-12)."""
-    from scipy.special import ndtr
+    """Standard normal CDF of a float or an array, to double precision.
 
-    return ndtr(t)
+    Against mpmath at 40 digits the absolute error stays below 2.3e-16 and
+    the relative error below 5e-15 for t >= -5; further left it grows with
+    t^2 (exp(-t^2/2) amplifies the rounding of t), to 2.4e-13 at t = -37.
+    """
+    return _ndtr(t)
 
 
 def std_normal_map() -> DistMap:
-    from scipy.special import ndtr
-
-    return DistMap(kind="std_normal", eval=ndtr)
+    return DistMap(kind="std_normal", eval=_ndtr)
 
 
 def normal_map(mu: float, sigma: float) -> DistMap:
@@ -60,11 +63,9 @@ def normal_map(mu: float, sigma: float) -> DistMap:
     sigma = float(sigma)
     if not (math.isfinite(mu) and math.isfinite(sigma)) or sigma <= 0.0:
         raise ValueError(f"normal map needs finite mu and sigma > 0, got ({mu}, {sigma})")
-    from scipy.special import ndtr
-
     return DistMap(
         kind="fitted_normal",
-        eval=lambda t: ndtr((np.asarray(t, dtype=float) - mu) / sigma),
+        eval=lambda t: _ndtr(t, mu, sigma),
         params={"mu": mu, "sigma": sigma},
     )
 
@@ -163,3 +164,141 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
         return float(parts[0]), float(parts[1])
     except ValueError:
         raise ValueError(f"{what} parameters must be numeric, got {text!r}") from None
+
+
+# Cephes ndtr.c with x = t / sqrt(2): erf(x) = x T(x^2) / U(x^2) for |x| < 1,
+# erfc(x) = exp(-x^2) P(x) / Q(x) from 1 to 8 and exp(-x^2) R(x) / S(x) from
+# 8 on. Highest power first; the leading 1 of the monic U, Q and S is written
+# out, which changes no bit of Cephes' p1evl.
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0,
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0,
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0,
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+_SQRT1_2 = 0.70710678118654752440
+#: erfc(x) is 0 once x^2 passes this (Cephes' MAXLOG, log of the largest double)
+_MAXLOG = 7.09782712893383996843e2
+#: the erfc branch clips x here, past the root of _MAXLOG, so that inf and huge
+#: values keep its polynomials finite and still come out 0
+_FAR_CLIP = 27.0
+
+
+def _ndtr(t, mu: float = 0.0, sigma: float = 1.0):
+    """Normal CDF of ``(t - mu) / sigma`` with Cephes' ``ndtr``, for a float or an array.
+
+    The same coefficients and order of operations, so the values are Cephes'
+    except where numpy's ``exp`` rounds differently from the C library's
+    (by an ulp, in the erfc branch). Evaluated in ``blocks`` of the input,
+    whose three work rows are reused from block to block: the output is the
+    only array that grows with the input.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty(t.shape)
+    values = t.reshape(-1)
+    flat = out.reshape(-1)
+    work = np.empty((3, min(values.size, BLOCK)))
+    for start, stop in blocks(values.size):
+        _ndtr_block(values[start:stop], mu, sigma, flat[start:stop], *work[:, : stop - start])
+    return out if out.ndim else out[()]
+
+
+def _ndtr_block(t, mu, sigma, y, x, w, p) -> None:
+    """``y = _ndtr(t, mu, sigma)`` in the work rows ``x``, ``w`` and ``p``: the erf
+    branch on every value, the erfc branch on |x| >= 1."""
+    np.subtract(t, mu, out=x)
+    x /= sigma
+    x *= _SQRT1_2
+    np.abs(x, out=w)
+    far = (w >= 1.0).nonzero()[0]
+    if far.size:
+        x_far = x[far]
+        z_far = w[far]
+        x[far] = 0.0  # keeps the erf polynomials finite where the erfc branch serves
+    np.square(x, out=w)
+    _horner(w, _ERF_T, p)
+    p *= x
+    p /= _horner(w, _ERF_U, y)
+    np.multiply(p, 0.5, out=y)
+    y += 0.5
+    if far.size:
+        y[far] = _ndtr_far(x_far, z_far)
+
+
+def _ndtr_far(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """ndtr at x = t / sqrt(2) with z = |x| >= 1: erfc(z) / 2, taken from 1 for x > 0."""
+    np.minimum(z, _FAR_CLIP, out=z)
+    e = np.square(z)
+    under = e > _MAXLOG
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e[under] = 0.0
+    p = _horner(z, _ERFC_P)
+    q = _horner(z, _ERFC_Q)
+    tail = (z >= 8.0).nonzero()[0]
+    if tail.size:
+        p[tail] = _horner(z[tail], _ERFC_R)
+        q[tail] = _horner(z[tail], _ERFC_S)
+    p *= e
+    p /= q
+    p *= 0.5
+    np.subtract(1.0, p, out=p, where=x > 0.0)
+    return p
+
+
+def _horner(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """The polynomial with ``coefs``, highest power first, at ``x``, as Cephes' ``polevl``."""
+    out = np.multiply(x, coefs[0], out=out)
+    for c in coefs[1:-1]:
+        out += c
+        out *= x
+    out += coefs[-1]
+    return out

@@ -1,3 +1,4 @@
+import ast
 import csv
 import math
 import os
@@ -549,7 +550,7 @@ def test_simulate_dump_round_trip(tmp_path, capsys):
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special is most of a process's memory; only the normal maps need it
+    # scipy.special alone would double a process's memory
     env = dict(os.environ)
     src = str(Path(xifamily.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -559,6 +560,49 @@ def test_import_does_not_load_scipy_special():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_normal_maps_run_without_scipy(tmp_path):
+    # std-normal (compute, test) and fit-normal (rank's default) are numpy only
+    rng = np.random.default_rng(5)
+    xs = rng.random(40)
+    path = write_csv(tmp_path / "d.csv", ["x", "y", "z"], [xs, xs + rng.normal(size=40), rng.normal(size=40)])
+    cols = ["--file", path, "--x-col", "x"]
+    env = dict(os.environ)
+    src = str(Path(xifamily.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import sys; from xifamily.cli import main; code = main(sys.argv[1:]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    for argv in (
+        ["compute", *cols, "--y-col", "y", "--f", "std-normal"],
+        ["rank", *cols],
+        ["test", *cols, "--y-col", "y", "--variant", "plugin"],
+    ):
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False", argv
+
+
+def test_package_source_imports_no_scipy():
+    # the runtime needs numpy only; tests and scripts may use scipy
+    package = Path(xifamily.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert len(list(package.glob("*.py"))) >= 9
+    assert found == []
 
 
 def test_python_m_xifamily_runs_the_cli(tmp_path, capsys):
