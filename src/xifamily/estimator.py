@@ -115,6 +115,8 @@ class CoefficientResult:
     plugin variant, which never ranks y. The private ``_u_sorted`` hands the
     test the mapped values chi reads in ascending order (F(y), or R/n for the
     rank variants), or None where they are the grid 1/n, ..., 1 of distinct y.
+    ``_row_sums`` holds chi's row sums of those values and of their squares
+    (``kernels._sorted_row_sums``), when the caller asked for them.
     """
 
     xi: float
@@ -125,6 +127,7 @@ class CoefficientResult:
     tie_seed: int
     y_tied: bool | None = None
     _u_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _row_sums: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
@@ -320,15 +323,17 @@ def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
     return _fsum(np.asarray(kernel.eval(u_ordered[:-1], u_ordered[1:]), dtype=float)) / n
 
 
-def _pair_mean(v: np.ndarray, kernel: Kernel) -> float:
-    """chi: mean kernel value over all n^2 ordered pairs (diagonal included) of ascending v."""
+def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple[float, tuple]:
+    """chi, the mean kernel value over all n^2 ordered pairs (diagonal included) of
+    ascending v, and the ``_sorted_row_sums(v, kernel, squares)`` it was added from."""
     n = v.size
-    row_sums, _ = _sorted_row_sums(v, kernel)
+    sums = _sorted_row_sums(v, kernel, squares)
+    row_sums = sums[0]
     if kernel.row_sums is None:
         # only hooked kernels are exactly 0 on the diagonal; a custom kernel
         # may leave up to its validation tolerance there, which chi counts
         row_sums = np.concatenate((row_sums, np.asarray(kernel.eval(v, v), dtype=float)))
-    return _fsum(row_sums) / (n * n)
+    return _fsum(row_sums) / (n * n), sums
 
 
 def _coefficient_from_u(
@@ -337,9 +342,10 @@ def _coefficient_from_u(
     kernel: Kernel,
     variant: str,
     tie_seed: int,
+    squares: bool,
 ) -> CoefficientResult:
     zeta = _consecutive_mean(u_ordered, kernel)
-    chi = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel)
+    chi, row_sums = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel, squares)
     xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
     return CoefficientResult(
         xi=xi,
@@ -350,6 +356,7 @@ def _coefficient_from_u(
         tie_seed=tie_seed,
         y_tied=None if variant == "plugin" else u_sorted is not None,
         _u_sorted=u_sorted,
+        _row_sums=row_sums if squares else None,
     )
 
 
@@ -358,6 +365,8 @@ def xi_plugin(
     kernel: Kernel,
     dist: DistMap,
     tie_seed: int = 0,
+    *,
+    _squares: bool = False,
 ) -> CoefficientResult:
     """Plugin coefficient with a prespecified monotone map F.
 
@@ -367,10 +376,14 @@ def xi_plugin(
     """
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    return _coefficient_from_u(u[permutation], sort_order(u)[1], kernel, "plugin", tie_seed)
+    return _coefficient_from_u(
+        u[permutation], sort_order(u)[1], kernel, "plugin", tie_seed, _squares
+    )
 
 
-def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
+def xi_rank(
+    sample: PairedSample, kernel: Kernel, tie_seed: int = 0, *, _squares: bool = False
+) -> CoefficientResult:
     """Rank-based coefficient: the plugin form with F the empirical CDF.
 
     Uses u_i = R_i / n with the max-rank convention; agrees exactly with
@@ -380,7 +393,7 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     u_ordered = r_ordered / sample.n
     del r_ordered  # freed before the row sums
     u_sorted = None if max_ranks is None else max_ranks / sample.n
-    return _coefficient_from_u(u_ordered, u_sorted, kernel, "rank", tie_seed)
+    return _coefficient_from_u(u_ordered, u_sorted, kernel, "rank", tie_seed, _squares)
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -471,12 +484,16 @@ def coefficient(
     kernel: Kernel | None = None,
     dist: DistMap | None = None,
     tie_seed: int = 0,
+    *,
+    _squares: bool = False,
 ) -> CoefficientResult:
     """The family member named by ``variant``, one of ``VARIANTS``.
 
     ``plugin`` needs ``dist`` (the map F); ``plugin``, ``rank`` and
     ``simplified`` need ``kernel``; ``chatterjee`` fixes h = |u - v| and
-    ignores both.
+    ignores both. ``_squares`` asks the plugin and rank variants to keep
+    chi's row sums and those of the squared kernel (``_row_sums``), from
+    which the independence test takes its moments.
     """
     # xi_* are looked up by name on every call, so a caller that rebinds
     # them (a profiler, a test double) sees every call
@@ -485,9 +502,9 @@ def coefficient(
     if variant == "plugin":
         if dist is None:
             raise ValueError("plugin variant requires a distribution map")
-        return xi_plugin(sample, kernel, dist, tie_seed)
+        return xi_plugin(sample, kernel, dist, tie_seed, _squares=_squares)
     if variant == "rank":
-        return xi_rank(sample, kernel, tie_seed)
+        return xi_rank(sample, kernel, tie_seed, _squares=_squares)
     if variant == "simplified":
         return xi_simplified(sample, kernel, tie_seed)
     if variant == "chatterjee":

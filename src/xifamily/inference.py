@@ -22,7 +22,9 @@ kernels):
 added with ``estimator._fsum``, which returns math.fsum's exactly rounded
 value. The test takes those values from its coefficient's result
 (``CoefficientResult._u_sorted``: F(y) for the plugin, R/n for the rank
-variants), so the moments neither map nor sort y again.
+variants), so the moments neither map nor sort y again. Where the plugin or
+rank coefficient builds chi, it takes S and Q in its one row-sum pass
+(``CoefficientResult._row_sums``); S is the same with or without Q.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -128,10 +130,13 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
     return _sigma2_sorted(v, kernel, source)
 
 
-def _sigma2_sorted(v: np.ndarray, kernel: Kernel, source: str) -> VarianceEstimate:
-    """``sigma2_ustat`` from the mapped values in ascending order, n >= 3."""
+def _sigma2_sorted(
+    v: np.ndarray, kernel: Kernel, source: str, sums: tuple | None = None
+) -> VarianceEstimate:
+    """``sigma2_ustat`` from the mapped values in ascending order, n >= 3, and
+    their ``_sorted_row_sums(v, kernel, squares=True)`` when already taken."""
     n = v.size
-    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares=True)
+    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares=True) if sums is None else sums
     pairs = n * (n - 1)
     m = _fsum(row_sums) / pairs
     q = _fsum(row_sq_sums) / pairs
@@ -168,24 +173,28 @@ def independence_test(
     """
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
-    result = coefficient(sample, variant, kernel, dist, tie_seed)
+    rank_based = variant != "plugin"
+    if variant == "chatterjee":
+        kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
+    closed_form = rank_based and continuous_y and kernel is not None and kernel.name == "power"
+    # where the U-statistic serves, chi's row-sum pass also takes the squares
+    result = coefficient(sample, variant, kernel, dist, tie_seed, _squares=not closed_form)
     if variant == "simplified" and result.y_tied:
         raise DegenerateDataError(
             "tied y: the simplified test's C_h normalization assumes continuous y; "
             "use the rank variant"
         )
-    if variant == "chatterjee":
-        kernel = make_kernel("power", gamma=1.0)
 
-    rank_based = variant != "plugin"
-    if rank_based and kernel.name == "power" and continuous_y and not result.y_tied:
+    if closed_form and not result.y_tied:
         variance = VarianceEstimate(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",
         )
     else:
         source = "ustat_rank" if rank_based or dist.kind == "empirical" else "ustat_plugin"
-        variance = _sigma2_sorted(_ascending_u(result._u_sorted, sample.n), kernel, source)
+        variance = _sigma2_sorted(
+            _ascending_u(result._u_sorted, sample.n), kernel, source, result._row_sums
+        )
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from xifamily import estimator, inference
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
 from xifamily.estimator import VARIANTS, PairedSample, coefficient, xi_simplified
@@ -13,11 +14,13 @@ from xifamily.inference import (
     sigma2_power_closed_form,
     sigma2_ustat,
 )
-from xifamily.kernels import make_kernel, parse_kernel_spec
+from xifamily.kernels import _sorted_row_sums, custom_kernel, make_kernel, parse_kernel_spec
 from xifamily.simulate import rep_seed
 
 POWER1 = make_kernel("power", gamma=1.0)
 POWER3 = make_kernel("power", gamma=3.0)
+#: a kernel without a row-sum hook, summed in blocks
+CUSTOM = custom_kernel("custom", lambda u, v: np.square(u - v) * (1.0 + u * v))
 
 
 # ------------------------------------------------------------- closed form
@@ -226,6 +229,69 @@ def test_declared_continuous_constant_y_is_refused():
     s = PairedSample(xs=np.linspace(0.0, 1.0, 50), ys=np.full(50, 3.0))
     with pytest.raises(DegenerateDataError, match="coincide"):
         independence_test(s, POWER1, variant="rank", continuous_y=True)
+
+
+ROW_SUM_KERNELS = ["power:0.5", "power:1", "power:2", "power:3", "exp:1", "expsq"]
+
+
+def _counted_row_sums(monkeypatch):
+    """Log ``(n, squares)`` of every ``_sorted_row_sums`` call of the estimator and the test."""
+    calls = []
+
+    def counted(v, kernel, squares=False):
+        calls.append((v.size, squares))
+        return _sorted_row_sums(v, kernel, squares)
+
+    monkeypatch.setattr(estimator, "_sorted_row_sums", counted)
+    monkeypatch.setattr(inference, "_sorted_row_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "variant, spec, f, continuous, passes",
+    [
+        ("rank", "power:0.5", None, False, [(500, True)]),
+        ("rank", "exp:1", None, True, [(500, True)]),
+        ("plugin", "expsq", "std-normal", False, [(500, True)]),
+        ("plugin", "power:1", "std-normal", True, [(500, True)]),
+        ("simplified", "power:0.5", None, False, [(500, True)]),
+        # the closed form needs no moments, so chi takes S alone
+        ("rank", "power:1", None, True, [(500, False)]),
+        ("simplified", "power:1", None, True, []),
+    ],
+)
+def test_one_row_sum_pass_per_test(monkeypatch, variant, spec, f, continuous, passes):
+    s = _independent_sample(500, 8)
+    kernel = parse_kernel_spec(spec)
+    dist = std_normal_map() if f else None
+    calls = _counted_row_sums(monkeypatch)
+    result = independence_test(s, kernel, variant, dist, tie_seed=3, continuous_y=continuous)
+    assert calls == passes
+    if result.sigma2_used.source != "closed_form_power":
+        moments = sigma2_ustat(s.ys, kernel, dist or empirical_map(s.ys))
+        assert result.sigma2_used == moments
+
+
+@pytest.mark.parametrize("spec", ROW_SUM_KERNELS + ["custom"])
+@pytest.mark.parametrize("variant", ["plugin", "rank"])
+@pytest.mark.parametrize("ys_kind", ["distinct", "tied"])
+def test_row_sums_with_squares_keep_chi(spec, variant, ys_kind):
+    # chi is added from S, and S has the same bits with or without Q
+    rng = np.random.default_rng(12)
+    ys = rng.normal(size=300)
+    if ys_kind == "tied":
+        ys = ys.round(0)
+    s = PairedSample(xs=rng.random(300), ys=ys)
+    kernel = CUSTOM if spec == "custom" else parse_kernel_spec(spec)
+    dist = std_normal_map() if variant == "plugin" else None
+    plain = coefficient(s, variant, kernel, dist, 5)
+    kept = coefficient(s, variant, kernel, dist, 5, _squares=True)
+    assert plain._row_sums is None
+    assert (kept.xi, kept.zeta, kept.normalization) == (plain.xi, plain.zeta, plain.normalization)
+    u = kept._u_sorted if kept._u_sorted is not None else np.arange(1, 301) / 300
+    row_sums, row_sq_sums = kept._row_sums
+    assert np.array_equal(row_sums, _sorted_row_sums(u, kernel)[0])
+    assert np.array_equal(row_sq_sums, _sorted_row_sums(u, kernel, squares=True)[1])
 
 
 def _y_with(duplicate, n):
