@@ -27,6 +27,10 @@ BLOCK = 2**14
 #: stable argsort of the whole array, which bounds the Python loop
 _RUN_REPAIRS = 64
 
+#: ``settle`` checks this many adjacent keys as a block of their own before
+#: the rest: on heavily tied values a tie shows among the first few pairs
+_TIE_PROBE = 64
+
 
 def blocks(n: int, size: int = BLOCK):
     """``(start, stop)`` bounds that cover range(n) in pieces of ``size``."""
@@ -63,12 +67,15 @@ def settle(key: np.ndarray, bits: int, value_of) -> bool:
     """Put ``packed_sort``-ed keys into value order, or return True on two equal values.
 
     Only keys that share their high bits can be out of value order or tied,
-    so only their values are looked up, by ``value_of(tags)``. Each run of
-    them is re-sorted by value; on equal values ``key`` is left unfinished.
+    so only their values are looked up, by ``value_of(tags)``, for the first
+    ``_TIE_PROBE`` pairs of keys ahead of the rest. Each run of them is
+    re-sorted by value; on equal values ``key`` is left unfinished.
     """
     low = (1 << bits) - 1
     collided = []
-    for start, stop in blocks(key.size - 1):
+    probe = min(_TIE_PROBE, key.size - 1)
+    bounds = [(0, probe)] + [(probe + a, probe + b) for a, b in blocks(key.size - 1 - probe)]
+    for start, stop in bounds:
         shared = key[start:stop] ^ key[start + 1 : stop + 1]
         shared >>= bits
         pairs = np.flatnonzero(shared == 0) + start

@@ -196,6 +196,28 @@ def test_ranks_in_x_order_from_packed_keys(y_kind, x_kind, n):
     check_ranks_in_x_order(make_values(x_kind, n, rng), make_values(y_kind, n, rng), 3)
 
 
+PROBE = _sorting._TIE_PROBE
+
+
+@pytest.mark.parametrize(
+    "k", [None, 0, PROBE - 2, PROBE - 1, PROBE, PROBE + 1, PROBE + _sorting.BLOCK - 1, PROBE + _sorting.BLOCK, 19_998]
+)
+def test_settle_finds_one_tie_anywhere(k):
+    # one equal pair at sorted places k, k + 1, on each side of the probe's
+    # and the first full block's bounds; None: distinct values, no tie
+    n = 20_000
+    values = np.linspace(-1.0, 1.0, n)
+    if k is not None:
+        values[k + 1] = values[k]
+    values = np.random.default_rng(4).permutation(values)
+    bits = (n - 1).bit_length()
+    key = np.arange(n, dtype=np.int64)
+    _sorting.packed_sort(values, key, bits)
+    assert _sorting.settle(key, bits, values.take) == (k is not None)
+    if k is None:
+        assert np.array_equal(key & ((1 << bits) - 1), np.argsort(values))
+
+
 def count_orderings(call):
     """``(sort_order calls, order_by_x calls)`` made by ``call()``; an
     ``order_by_x`` call is counted by the function that computes it."""
