@@ -168,8 +168,7 @@ def _parse_pair(text: str, what: str) -> tuple[float, float]:
 
 # Cephes ndtr.c with x = t / sqrt(2): erf(x) = x T(x^2) / U(x^2) for |x| < 1,
 # erfc(x) = exp(-x^2) P(x) / Q(x) from 1 to 8 and exp(-x^2) R(x) / S(x) from
-# 8 on. Highest power first; the leading 1 of the monic U, Q and S is written
-# out, which changes no bit of Cephes' p1evl.
+# 8 on. Highest power first; U, Q and S are monic, their leading 1 not stored.
 _ERF_T = (
     9.60497373987051638749e0,
     9.00260197203842689217e1,
@@ -178,7 +177,6 @@ _ERF_T = (
     5.55923013010394962768e4,
 )
 _ERF_U = (
-    1.0,
     3.35617141647503099647e1,
     5.21357949780152679795e2,
     4.59432382970980127987e3,
@@ -197,7 +195,6 @@ _ERFC_P = (
     5.57535335369399327526e2,
 )
 _ERFC_Q = (
-    1.0,
     1.32281951154744992508e1,
     8.67072140885989742329e1,
     3.54937778887819891062e2,
@@ -216,7 +213,6 @@ _ERFC_R = (
     2.97886665372100240670e0,
 )
 _ERFC_S = (
-    1.0,
     2.26052863220117276590e0,
     9.39603524938001434673e0,
     1.20489539808096656605e1,
@@ -224,6 +220,12 @@ _ERFC_S = (
     9.60896809063285878198e0,
     3.36907645100081516050e0,
 )
+#: the erfc polynomials packed as P + iQ and R + iS (R padded with a leading 0,
+#: Q and S given their leading 1), so that one complex Horner evaluates both in
+#: half the numpy calls: a complex times a real z multiplies each part by z
+#: alone, so each part gets Cephes' bits
+_ERFC_PQ = tuple(complex(p, q) for p, q in zip(_ERFC_P, (1.0, *_ERFC_Q)))
+_ERFC_RS = tuple(complex(r, s) for r, s in zip((0.0, *_ERFC_R), (1.0, *_ERFC_S)))
 _SQRT1_2 = 0.70710678118654752440
 #: erfc(x) is 0 once x^2 passes this (Cephes' MAXLOG, log of the largest double)
 _MAXLOG = 7.09782712893383996843e2
@@ -237,7 +239,7 @@ def _ndtr(t, mu: float = 0.0, sigma: float = 1.0):
 
     The same coefficients and order of operations, so the values are Cephes'
     except where numpy's ``exp`` rounds differently from the C library's
-    (by an ulp, in the erfc branch). Evaluated in ``blocks`` of the input,
+    (by a few ulps, in the erfc branch). Evaluated in ``blocks`` of the input,
     whose three work rows are reused from block to block: the output is the
     only array that grows with the input.
     """
@@ -264,9 +266,9 @@ def _ndtr_block(t, mu, sigma, y, x, w, p) -> None:
         z_far = w[far]
         x[far] = 0.0  # keeps the erf polynomials finite where the erfc branch serves
     np.square(x, out=w)
-    _horner(w, _ERF_T, p)
+    _polevl(w, _ERF_T, p)
     p *= x
-    p /= _horner(w, _ERF_U, y)
+    p /= _p1evl(w, _ERF_U, y)
     np.multiply(p, 0.5, out=y)
     y += 0.5
     if far.size:
@@ -276,29 +278,38 @@ def _ndtr_block(t, mu, sigma, y, x, w, p) -> None:
 def _ndtr_far(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """ndtr at x = t / sqrt(2) with z = |x| >= 1: erfc(z) / 2, taken from 1 for x > 0."""
     np.minimum(z, _FAR_CLIP, out=z)
+    top = float(z.max())
     e = np.square(z)
-    under = e > _MAXLOG
+    under = e > _MAXLOG if top * top > _MAXLOG else None
     np.negative(e, out=e)
     np.exp(e, out=e)
-    e[under] = 0.0
-    p = _horner(z, _ERFC_P)
-    q = _horner(z, _ERFC_Q)
-    tail = (z >= 8.0).nonzero()[0]
-    if tail.size:
-        p[tail] = _horner(z[tail], _ERFC_R)
-        q[tail] = _horner(z[tail], _ERFC_S)
-    p *= e
-    p /= q
+    if under is not None:
+        e[under] = 0.0
+    pq = _polevl(z.astype(complex), _ERFC_PQ)
+    if top >= 8.0:
+        tail = (z >= 8.0).nonzero()[0]
+        pq[tail] = _polevl(z[tail].astype(complex), _ERFC_RS)
+    p = pq.real * e
+    p /= pq.imag
     p *= 0.5
     np.subtract(1.0, p, out=p, where=x > 0.0)
     return p
 
 
-def _horner(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
-    """The polynomial with ``coefs``, highest power first, at ``x``, as Cephes' ``polevl``."""
+def _polevl(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes' polevl: the polynomial with ``coefs``, highest power first, at ``x``."""
     out = np.multiply(x, coefs[0], out=out)
     for c in coefs[1:-1]:
         out += c
         out *= x
     out += coefs[-1]
+    return out
+
+
+def _p1evl(x: np.ndarray, coefs: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes' p1evl: ``_polevl`` of a monic polynomial whose leading 1 is not in ``coefs``."""
+    out = np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        out *= x
+        out += c
     return out
