@@ -43,7 +43,7 @@ CUSTOM = custom_kernel("custom", lambda u, v: np.square(u - v) * (1.0 + u * v) +
 GRID = {
     "kernels": ["power:1", "power:2", "power:3", "power:0.5", "exp:1", "expsq", "custom"],
     "maps": ["std-normal", "uniform", "empirical"],
-    "y_shapes": ["distinct", "rounded", "5-level", "binary", "constant"],
+    "y_shapes": ["distinct", "rounded", "5-level", "binary", "constant", "ulp pairs"],
     "x_shapes": ["distinct", "tied"],
     "sizes": [3, 7, 50, 1000, 5000],
 }
@@ -59,12 +59,18 @@ def sample(n, y_shape, x_shape):
     if x_shape == "tied":
         # fewer levels than values, so at least two x's are equal
         xs = rng.integers(0, max(2, n // 3), n).astype(float)
+    # each odd place holds the float just below the even one before it:
+    # distinct y whose packed sort keys nearly all share their high bits in
+    # pairs, and whose index order within a pair is not value order
+    pairs = ys.copy()
+    pairs[1::2] = np.nextafter(ys[: n - 1 : 2], -np.inf)
     ys = {
         "distinct": ys,
         "rounded": ys.round(1),
         "5-level": np.digitize(ys, [-1.0, -0.3, 0.3, 1.0]).astype(float),
         "binary": (ys > 0.0).astype(float),
         "constant": np.full(n, 2.5),
+        "ulp pairs": pairs,
     }[y_shape]
     return PairedSample(xs=xs, ys=ys)
 

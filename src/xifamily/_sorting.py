@@ -3,8 +3,9 @@ the cache-sized blocks that keep n-sized temporaries out of the hot paths.
 
 From ``_PACKED_SORT_MIN`` values on, a sort is an in-place int64 sort of
 packed keys (``packed_sort``): a value's order-preserving high bits over a
-tag, an index or a rank, in the low bits. ``sort_order`` checks the result on
-the gathered values, ``settle`` on the few keys that share their high bits."""
+tag, an index or a rank, in the low ``(n - 1).bit_length()`` bits of n keys.
+``gathered`` and ``settle`` check the order and strip the keys to their tags,
+so no caller sees the layout."""
 
 from __future__ import annotations
 
@@ -23,10 +24,6 @@ _NON_SIGN_BITS = 0x7FFF_FFFF_FFFF_FFFF
 #: after every call and page-faulted in again, a block of this size is not
 BLOCK = 2**14
 
-#: ``settle`` repairs up to this many runs of keys one by one; more take one
-#: stable argsort of the whole array, which bounds the Python loop
-_RUN_REPAIRS = 64
-
 #: ``settle`` checks this many adjacent keys as a block of their own before
 #: the rest: on heavily tied values a tie shows among the first few pairs
 _TIE_PROBE = 64
@@ -44,15 +41,15 @@ def scatter_ramp(out: np.ndarray, order: np.ndarray, first: int = 0) -> None:
         out[order[start:stop]] = np.arange(start + first, stop + first)
 
 
-def packed_sort(values: np.ndarray, key: np.ndarray, bits: int) -> None:
-    """OR each value's high bits into ``key``, which holds one tag below 2**bits
-    per value, and sort it in place: value order, except that values sharing
-    their high bits come out in tag order.
+def packed_sort(values: np.ndarray, key: np.ndarray) -> None:
+    """OR each value's high bits into ``key``, which holds one tag per value,
+    below ``key.size``, and sort it in place: value order, except that values
+    sharing their high bits come out in tag order.
 
     A float's bits order like the float once the non-sign bits of negatives
     are flipped; -0.0 is made 0.0 first, so equal values share their bits.
     """
-    high = -1 << bits
+    high = -1 << (key.size - 1).bit_length()
     for start, stop in blocks(values.size):
         image = np.add(values[start:stop], 0.0).view(np.int64)  # -0.0 + 0.0 is 0.0
         flips = image >> 63  # -1 for a set sign bit, else 0
@@ -63,14 +60,17 @@ def packed_sort(values: np.ndarray, key: np.ndarray, bits: int) -> None:
     key.sort()
 
 
-def settle(key: np.ndarray, bits: int, value_of) -> bool:
-    """Put ``packed_sort``-ed keys into value order, or return True on two equal values.
+def settle(key: np.ndarray, value_of) -> bool:
+    """Strip ``packed_sort``-ed keys of finite values to their tags in value
+    order, or return True on two equal values and leave ``key`` unfinished.
 
     Only keys that share their high bits can be out of value order or tied,
-    so only their values are looked up, by ``value_of(tags)``, for the first
-    ``_TIE_PROBE`` pairs of keys ahead of the rest. Each run of them is
-    re-sorted by value; on equal values ``key`` is left unfinished.
+    so only their values are looked up, by ``value_of(tags)``: first pair by
+    pair, the first ``_TIE_PROBE`` pairs ahead of the rest, then all at once.
+    Kept high bits order like the values, so one stable argsort by value of
+    the keys in such runs puts every run in order.
     """
+    bits = (key.size - 1).bit_length()
     low = (1 << bits) - 1
     collided = []
     probe = min(_TIE_PROBE, key.size - 1)
@@ -82,25 +82,21 @@ def settle(key: np.ndarray, bits: int, value_of) -> bool:
         if pairs.size:
             if (value_of(key[pairs] & low) == value_of(key[pairs + 1] & low)).any():
                 return True
-            collided.append(key[pairs] >> bits)
-    if not collided:
-        return False
-    heads = np.unique(np.concatenate(collided))
-    if heads.size > _RUN_REPAIRS:
-        runs = [(0, key.size)]
-    else:
-        runs = [
-            (key.searchsorted(head << bits), key.searchsorted(head << bits | low, side="right"))
-            for head in heads.tolist()
-        ]
-    for start, stop in runs:
-        run = key[start:stop]
-        values = value_of(run & low)
+            collided.append(pairs)
+    if collided:
+        pairs = np.concatenate(collided)
+        in_runs = np.zeros(key.size, dtype=bool)
+        in_runs[pairs] = True
+        in_runs[pairs + 1] = True
+        places = np.flatnonzero(in_runs)
+        runs = key[places]
+        values = value_of(runs & low)
         repair = np.argsort(values, kind="stable")
         values = values[repair]
         if (values[1:] == values[:-1]).any():
             return True
-        key[start:stop] = run[repair]
+        key[places] = runs[repair]
+    key &= low
     return False
 
 
@@ -122,15 +118,14 @@ def sort_order(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < _PACKED_SORT_MIN:
         order = np.argsort(values)
         return order, values[order]
-    bits = (n - 1).bit_length()
     key = np.arange(n, dtype=np.int64)
-    packed_sort(values, key, bits)
-    return gathered(key, bits, values)
+    packed_sort(values, key)
+    return gathered(key, values)
 
 
-def gathered(key: np.ndarray, bits: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sort_order(values)`` from ``packed_sort``-ed index keys, which it overwrites."""
-    key &= (1 << bits) - 1
+def gathered(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sort_order(values)`` from ``packed_sort``-ed index keys, which it strips."""
+    key &= (1 << (key.size - 1).bit_length()) - 1
     order = key
     ordered = values[order]
     if not (ordered[1:] >= ordered[:-1]).all():

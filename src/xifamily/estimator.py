@@ -195,29 +195,26 @@ def _ranks_in_x_order(
     """``(ranks(ys)[order_by_x(sample, tie_seed)], max_ranks, x_tied)``, with
     ``_ranked``'s ``max_ranks`` and ``x_tied`` whether two x's are equal.
 
-    From ``_PACKED_SORT_MIN`` values on, two ``packed_sort``s and no gather:
-    y's indices sorted by y give y's order; 0, ..., n-1 scattered through it
-    (the ranks less one) and sorted by x come out in x-order. Tied y take
-    their max-ranks from the first sort and ``order_by_x``; tied x keep the
-    y ranks and take its seeded tie-break.
+    From ``_PACKED_SORT_MIN`` values on, two ``packed_sort``s that ``settle``
+    strips to their tags, and no gather: y's indices sorted by y give y's
+    order; 0, ..., n-1 scattered through it (the ranks less one) and sorted
+    by x come out in x-order. Tied y take their max-ranks from the first sort
+    and ``order_by_x``; tied x keep the y ranks and take its seeded tie-break.
     """
     n = sample.n
     xs, ys = sample.xs, sample.ys
     if n < _sorting._PACKED_SORT_MIN:
         r, max_ranks = _ranked(*sort_order(ys))
     else:
-        bits = (n - 1).bit_length()
         y_order = np.arange(n, dtype=np.int64)
-        packed_sort(ys, y_order, bits)
-        if settle(y_order, bits, ys.take):
-            r, max_ranks = _ranked(*gathered(y_order, bits, ys))
+        packed_sort(ys, y_order)
+        if settle(y_order, ys.take):
+            r, max_ranks = _ranked(*gathered(y_order, ys))
         else:
-            y_order &= (1 << bits) - 1
             r_ordered = np.empty(n, dtype=np.int64)
             scatter_ramp(r_ordered, y_order)
-            packed_sort(xs, r_ordered, bits)
-            if not settle(r_ordered, bits, lambda ranks: xs.take(y_order.take(ranks))):
-                r_ordered &= (1 << bits) - 1
+            packed_sort(xs, r_ordered)
+            if not settle(r_ordered, lambda ranks: xs.take(y_order.take(ranks))):
                 r_ordered += 1
                 return r_ordered, None, False
             scatter_ramp(r_ordered, y_order, 1)  # now ranks(ys), by index

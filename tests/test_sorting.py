@@ -210,12 +210,43 @@ def test_settle_finds_one_tie_anywhere(k):
     if k is not None:
         values[k + 1] = values[k]
     values = np.random.default_rng(4).permutation(values)
-    bits = (n - 1).bit_length()
     key = np.arange(n, dtype=np.int64)
-    _sorting.packed_sort(values, key, bits)
-    assert _sorting.settle(key, bits, values.take) == (k is not None)
+    _sorting.packed_sort(values, key)
+    assert _sorting.settle(key, values.take) == (k is not None)
     if k is None:
-        assert np.array_equal(key & ((1 << bits) - 1), np.argsort(values))
+        assert np.array_equal(key, np.argsort(values))
+
+
+def test_settle_repairs_runs_across_probe_and_block_bounds():
+    # runs of 4 distinct values a few ulps apart, at sorted places that span
+    # the probe's bound, the first full block's bound and both ends
+    n = 20_000
+    values = np.linspace(1.0, 2.0, n)
+    for start in [0, PROBE - 2, PROBE + _sorting.BLOCK - 2, n - 4]:
+        # the run's first value with its low 16 bits clear, so that all 4
+        # keep the same high bits over the 15 bits of the tags
+        first = (values[start : start + 1].view(np.int64) & -(1 << 16)).view(float)
+        values[start : start + 4] = first + np.arange(4) * 2.0**-52
+    values = np.random.default_rng(5).permutation(values)
+    key = np.arange(n, dtype=np.int64)
+    _sorting.packed_sort(values, key)
+    tags = key & ((1 << (n - 1).bit_length()) - 1)
+    assert not np.array_equal(tags, np.argsort(values))  # runs out of value order
+    assert not _sorting.settle(key, values.take)
+    assert np.array_equal(key, np.argsort(values))
+
+
+@pytest.mark.parametrize("start", [0, PROBE - 1, PROBE + _sorting.BLOCK - 1])
+def test_settle_finds_a_tie_apart_inside_a_run(start):
+    # values within a few ulps of 1.0 share their high bits, so the packed
+    # keys form one run in index order: a, b, a' at index start puts the one
+    # tie apart, where only the check after the run's repair can see it
+    n = 20_000
+    values = 1.0 + np.arange(n) * 2.0**-52
+    values[start + 2] = values[start]
+    key = np.arange(n, dtype=np.int64)
+    _sorting.packed_sort(values, key)
+    assert _sorting.settle(key, values.take)
 
 
 def count_orderings(call):
