@@ -4,7 +4,8 @@
 Rows are (method, kernel) pairs: the plugin coefficient with F the standard
 normal CDF and the simplified rank coefficient, each under the five study
 kernels, plus Pearson and Spearman baselines. Columns are (sigma, n) cells
-of "mean (100*sd)" over seeded replications.
+of "mean (100*sd)" over seeded replications; the full grid runs through
+``xifamily simulate``, which draws each replication once for all rows.
 
 The published h5 row matches 1 - exp(-|y-z|) (the exp:1 kernel), not the
 literal 1 - exp(|y-z|) printed alongside it, so exp:1 is what runs here;
@@ -17,11 +18,12 @@ Examples:
 """
 
 import argparse
+import contextlib
 import csv
 import sys
 import time
 
-from xifamily import ModelSpec, format_cell, parse_method_spec, parse_sigma, replicate
+from xifamily import ModelSpec, cli, parse_method_spec, replicate
 
 STUDY_KERNELS = ["power:1", "power:2", "power:3", "expsq", "exp:1"]
 
@@ -39,13 +41,6 @@ GOLDEN = {
 }
 
 EXTERNAL_BASELINES = ["dcorr", "lh", "mic"]
-
-
-def full_methods():
-    methods = [parse_method_spec(f"plugin,{k},std-normal") for k in STUDY_KERNELS]
-    methods += [parse_method_spec(f"simplified,{k}") for k in STUDY_KERNELS]
-    methods += [parse_method_spec("pearson"), parse_method_spec("spearman")]
-    return methods
 
 
 def run_golden(model, table, reps, seed, writer):
@@ -66,26 +61,21 @@ def run_golden(model, table, reps, seed, writer):
               f"(published {published})", file=sys.stderr)
 
 
-def run_full(model, reps, sigmas, sizes, seed, writer):
-    col_keys = [(s, n) for s in sigmas for n in sizes]
-    writer.writerow(["method", "kernel"] + [f"sigma={s} n={n}" for s, n in col_keys])
-    for method in full_methods():
-        label = method.row_label()
-        row = list(label)
-        started = time.perf_counter()
-        for sigma, n in col_keys:
-            summary = replicate(
-                ModelSpec(model=model, sigma=sigma, n=n, seed=0),
-                method, reps=reps, base_seed=seed,
-            )
-            row.append(format_cell(summary))
-        writer.writerow(row)
-        print(f"  {label[0]} {label[1]}: {time.perf_counter() - started:.1f}s",
-              file=sys.stderr)
-    for name in EXTERNAL_BASELINES:
-        writer.writerow([name, ""] + ["" for _ in col_keys])
+def run_full(model, args):
+    methods = [f"plugin,{k},std-normal" for k in STUDY_KERNELS]
+    methods += [f"simplified,{k}" for k in STUDY_KERNELS] + ["pearson", "spearman"]
+    argv = ["simulate", "--model", model, "--sigma", args.sigma, "--n", args.n,
+            "--reps", str(args.reps), "--seed", str(args.seed), "--out", args.out or "-"]
+    started = time.perf_counter()
+    if code := cli.main(argv + [arg for m in methods for arg in ("--method", m)]):
+        return code
+    print(f"  {len(methods)} methods: {time.perf_counter() - started:.1f}s", file=sys.stderr)
+    blank = [""] * (len(args.sigma.split(",")) * len(args.n.split(",")))
+    with open(args.out, "a", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        csv.writer(fh).writerows([name, ""] + blank for name in EXTERNAL_BASELINES)
     print("note: dcorr/lh/mic rows left blank; compute them with the dcor and "
           "minepy packages if needed", file=sys.stderr)
+    return 0
 
 
 def main():
@@ -101,19 +91,14 @@ def main():
     args = parser.parse_args()
 
     model = {1: "quadratic", 2: "sinusoidal"}[args.table]
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
     print(f"table {args.table} ({model}), mode={args.mode}, reps={args.reps}",
           file=sys.stderr)
-    if args.mode == "golden":
-        run_golden(model, args.table, args.reps, args.seed, writer)
-    else:
-        sigmas = [parse_sigma(s) for s in args.sigma.split(",")]
-        sizes = [int(n) for n in args.n.split(",")]
-        run_full(model, args.reps, sigmas, sizes, args.seed, writer)
-    if args.out:
-        out.close()
+    if args.mode == "full":
+        return run_full(model, args)
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        run_golden(model, args.table, args.reps, args.seed, csv.writer(fh))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -26,12 +26,11 @@ from .inference import independence_test
 from .kernels import parse_kernel_spec
 from .simulate import (
     ModelSpec,
+    _replicate_cell,
     format_cell,
-    iter_replicates,
     parse_method_spec,
     parse_sigma,
     rep_seed,
-    replicate,
 )
 
 __all__ = ["CsvTable", "load_csv", "main", "run"]
@@ -244,41 +243,34 @@ def cmd_simulate(args) -> int:
     sizes = [int(n) for n in args.n.split(",")]
     methods = [parse_method_spec(m) for m in args.method]
     dump_dir = Path(args.dump_dir) if args.dump_dir else None
-    manifest = []
-
     if dump_dir is not None:
-        for sigma in sigmas:
-            for n in sizes:
-                _dump_samples(dump_dir, args.model, sigma, n, args.reps, args.seed)
+        dump_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = {}
-    for method in methods:
-        label = method.row_label()
-        for sigma in sigmas:
-            for n in sizes:
-                spec = ModelSpec(model=args.model, sigma=sigma, n=n, seed=0)
-                summary = replicate(spec, method, args.reps, args.seed, keep_per_rep=True)
-                cells[(label, sigma, n)] = format_cell(summary)
-                if dump_dir is not None:
-                    manifest.extend(
-                        [*label, sigma, n, i, rep_seed(args.seed, i), _sample_name(sigma, n, i),
-                         repr(value)]
-                        for i, value in enumerate(summary.per_rep)
-                    )
+    col_keys = [(s, n) for s in sigmas for n in sizes]
+    cells = {}  # one pass per cell: every method and the dump read one draw of each rep
+    for sigma, n in col_keys:
+        spec = ModelSpec(model=args.model, sigma=sigma, n=n, seed=0)
+        dump = None if dump_dir is None else functools.partial(_dump_sample, dump_dir, sigma, n)
+        cells[sigma, n] = _replicate_cell(spec, methods, args.reps, args.seed, True, dump)
 
     with _open_out(args.out) as out:
         writer = csv.writer(out)
-        col_keys = [(s, n) for s in sigmas for n in sizes]
         writer.writerow(["method", "kernel"] + [f"sigma={s} n={n}" for s, n in col_keys])
-        for method in methods:
-            label = method.row_label()
-            writer.writerow(list(label) + [cells[(label, s, n)] for s, n in col_keys])
+        for k, method in enumerate(methods):
+            row = [format_cell(cells[c][k]) for c in col_keys]
+            writer.writerow(list(method.row_label()) + row)
 
     if dump_dir is not None:
         with open(dump_dir / "reps.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "kernel", "sigma", "n", "rep", "seed", "file", "value"])
-            writer.writerows(manifest)
+            writer.writerows(
+                [*method.row_label(), sigma, n, i, rep_seed(args.seed, i),
+                 _sample_name(sigma, n, i), repr(value)]
+                for k, method in enumerate(methods)
+                for sigma, n in col_keys
+                for i, value in enumerate(cells[sigma, n][k].per_rep)
+            )
     return 0
 
 
@@ -286,15 +278,13 @@ def _sample_name(sigma, n, rep):
     return f"sample_s{sigma}_n{n}_rep{rep}.csv"
 
 
-def _dump_samples(dump_dir, model, sigma, n, reps, base_seed):
-    """Write this run's samples, replacing any a previous run left."""
-    dump_dir.mkdir(parents=True, exist_ok=True)
-    for i, _, sample in iter_replicates(model, sigma, n, reps, base_seed):
-        with open(dump_dir / _sample_name(sigma, n, i), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in zip(sample.xs, sample.ys):
-                writer.writerow([repr(float(x)), repr(float(y))])
+def _dump_sample(dump_dir, sigma, n, rep, sample):
+    """Write one repetition's sample, replacing any a previous run left."""
+    with open(dump_dir / _sample_name(sigma, n, rep), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y"])
+        for x, y in zip(sample.xs, sample.ys):
+            writer.writerow([repr(float(x)), repr(float(y))])
 
 
 @functools.cache

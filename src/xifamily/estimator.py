@@ -430,6 +430,18 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     )
 
 
+def _tie_spread(max_ranks: np.ndarray) -> int:
+    """Exact ``sum_i l_i (n - l_i)``, l_i = #{j : y_j >= y_i}, from ascending max-ranks.
+
+    A tied block of c values after the p smallest has l = n - p, so it adds c (n - p) p.
+    """
+    n = max_ranks.size
+    p = max_ranks[:-1][max_ranks[:-1] != max_ranks[1:]]  # of every block but the first
+    if 4 * n**3 > 27 * _INT64_MAX:  # c (n - p) p <= 4 n^3 / 27 passes int64 past n ~ 3.9e6
+        p = p.astype(object)
+    return sum((np.diff(p, append=n) * (n - p) * p).tolist())  # passes int64 past n ~ 3.3e6
+
+
 def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> CoefficientResult:
     """Chatterjee's (2021) rank correlation.
 
@@ -455,10 +467,7 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     if max_ranks is None:
         spread = n * (n * n - 1) // 6  # l_i runs over 1, ..., n
     else:
-        # l_i = #{j : y_j >= y_i}: n less the values before y_i's tied block
-        at_least = n - max_ranks.searchsorted(max_ranks)
-        # Python ints: the sum passes int64 from n ~ 3.8e6 on
-        spread = sum((at_least * (n - at_least)).tolist())
+        spread = _tie_spread(max_ranks)
         if spread == 0:
             raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
     normalization = 2 * spread / n

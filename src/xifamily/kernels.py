@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._sorting import sort_order
+from ._sorting import BLOCK, sort_order
 from .errors import QuadratureError
 
 __all__ = [
@@ -56,8 +56,6 @@ __all__ = [
 _VALIDATION_GRID = 101
 _VALIDATION_TOL = 1e-12
 
-#: Elements per block of kernel values on the blocked row-sum path.
-_BLOCK_ELEMENTS = 2**14
 #: Largest exponent an anchored decay sum multiplies by (e^600 ~ 4e260).
 _MAX_EXPONENT = 600.0
 #: Exponents whose power kernel carries the integer-power row-sum routine;
@@ -418,10 +416,10 @@ def _blocked_row_sums(v: np.ndarray, h: Callable, squares: bool):
     j >= start. Its row sums (diagonal zeroed) go to rows i, and its column
     sums over j >= stop go to rows j, so each pair outside the square head
     of a block is evaluated once, and no block holds more than about
-    ``_BLOCK_ELEMENTS`` values.
+    ``BLOCK`` values.
     """
     n = v.size
-    rows = max(1, _BLOCK_ELEMENTS // n)
+    rows = max(1, BLOCK // n)
     sums = np.zeros(n)
     squared = np.zeros(n) if squares else None
     for start in range(0, n, rows):

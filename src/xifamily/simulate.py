@@ -197,22 +197,37 @@ def replicate(
 
     spec.seed is ignored; per-rep seeds come from (base_seed, rep_index),
     and the rep's seed doubles as its tie-break seed. Identical output for
-    any parallel execution plan, since repetitions share no state.
+    any parallel execution plan, since repetitions share no state. It is the
+    one-method case of the cell pass that draws each repetition once.
+    """
+    return _replicate_cell(spec, [method], reps, base_seed, keep_per_rep)[0]
+
+
+def _replicate_cell(spec, methods, reps, base_seed, keep_per_rep, dump=None) -> list:
+    """One ``RepSummary`` per method, from one draw of each repetition.
+
+    ``dump(rep_index, sample)``, when given, sees each sample before any method.
     """
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
-    values = np.empty(reps)
+    values = np.empty((len(methods), reps))
     for i, seed, sample in iter_replicates(spec.model, spec.sigma, spec.n, reps, base_seed):
-        try:
-            values[i] = method.evaluate(sample, tie_seed=seed)
-        except XiFamilyError as exc:
-            raise exc.__class__(f"repetition {i} (seed {seed}): {exc}") from exc
-    return RepSummary(
-        mean=float(np.mean(values)),
-        sd=float(np.std(values, ddof=1)) if reps >= 2 else None,
-        reps=reps,
-        per_rep=tuple(values.tolist()) if keep_per_rep else None,
-    )
+        if dump is not None:
+            dump(i, sample)
+        for k, method in enumerate(methods):
+            try:
+                values[k, i] = method.evaluate(sample, tie_seed=seed)
+            except XiFamilyError as exc:
+                raise exc.__class__(f"repetition {i} (seed {seed}): {exc}") from exc
+    return [
+        RepSummary(
+            mean=float(np.mean(row)),
+            sd=float(np.std(row, ddof=1)) if reps >= 2 else None,
+            reps=reps,
+            per_rep=tuple(row.tolist()) if keep_per_rep else None,
+        )
+        for row in values
+    ]
 
 
 def population_oracle(

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import xifamily
-from xifamily import cli
+from xifamily import cli, simulate
 from xifamily.cli import CsvTable, load_csv, main
 
 
@@ -547,6 +547,21 @@ def test_simulate_dump_round_trip(tmp_path, capsys):
             assert code == 0
             xi = float(parse_kv(capsys.readouterr().out)["xi"])
             assert xi == float(row["value"])
+
+
+def test_simulate_draws_each_repetition_once(tmp_path, monkeypatch):
+    # three methods and the dumped samples read one draw of each repetition
+    draws = []
+    generate = simulate.generate
+    monkeypatch.setattr(simulate, "generate", lambda spec: draws.append(spec) or generate(spec))
+    code = main([
+        "simulate", "--model", "linear", "--sigma", "0,inf", "--n", "20,30", "--reps", "5",
+        "--method", "pearson", "--method", "spearman", "--method", "simplified,power:1",
+        "--dump-dir", str(tmp_path),
+    ])
+    assert code == 0
+    assert len(draws) == len(set(draws)) == 2 * 2 * 5
+    assert len(list(tmp_path.glob("sample_*.csv"))) == 2 * 2 * 5
 
 
 def test_import_does_not_load_scipy_special():

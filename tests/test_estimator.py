@@ -401,6 +401,14 @@ def test_chatterjee_tied_y_is_rounded_once():
         assert chatterjee_reference(s).xi == float(Fraction(2 * spread - n * gaps, 2 * spread))
 
 
+def test_tie_spread_stays_exact_past_int64():
+    # two blocks, the second after p = n/3 values: its c (n - p) p = 4n^3/27 passes 2^63
+    n = 4_000_000
+    p = n // 3
+    max_ranks = np.repeat([p, n], [p, n - p])
+    assert estimator._tie_spread(max_ranks) == (n - p) ** 2 * p > 2**63
+
+
 def test_chatterjee_binary_y_near_zero_under_independence():
     # the (n^2 - 1)/3 form put the mean near +0.25 here
     values = []

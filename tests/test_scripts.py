@@ -11,16 +11,17 @@ from xifamily.simulate import ModelSpec, format_cell, parse_method_spec, replica
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce_tables.py"
+CALIBRATION = ROOT / "scripts" / "null_calibration.py"
 STUDY_KERNELS = ["power:1", "power:2", "power:3", "expsq", "exp:1"]
 
 
-def run_script(*args):
+def run_script(*args, script=SCRIPT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(SCRIPT), *args],
+        [sys.executable, str(script), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -51,6 +52,15 @@ def test_golden_mode_runs():
     done = run_script("--table", "1", "--mode", "golden", "--reps", "2")
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 4  # header and three golden cells
+
+
+def test_null_calibration_runs():
+    done = run_script("--n", "100", "--reps", "1000", script=CALIBRATION)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "kernel power:1, n=100, reps=1000"
+    assert lines[1] == "closed-form null variance: 0.400000"
+    assert len(lines) == 7  # and the empirical variance, mean and three rejection rates
 
 
 def load_output_digest():

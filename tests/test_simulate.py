@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from xifamily import simulate
 from xifamily.cdf import std_normal_map
 from xifamily.errors import DegenerateDataError
 from xifamily.estimator import pearson
@@ -123,6 +124,34 @@ def test_replicate_attaches_rep_index_on_failure():
         replicate(degenerate, ConstantYMethod(variant="chatterjee"), 3, 0)
     # sanity: the normal path still works
     assert np.isfinite(replicate(spec, method, 2, 0).mean)
+
+
+#: the eight methods of a Table 2 cell in the benchmark's ``table`` workload
+TABLE_METHODS = [
+    "simplified,power:1", "simplified,power:2", "simplified,power:3",
+    "simplified,expsq", "simplified,exp:1", "chatterjee", "pearson", "spearman",
+]
+
+
+@pytest.mark.parametrize("model", ["linear", "quadratic", "sinusoidal"])
+def test_cell_pass_equals_one_replicate_per_method(model, monkeypatch):
+    # every method of a cell reads the same drawn arrays; read-only arrays
+    # make a method that writes into them raise
+    def read_only(spec):
+        sample = generate(spec)
+        sample.xs.flags.writeable = False
+        sample.ys.flags.writeable = False
+        return sample
+
+    monkeypatch.setattr(simulate, "generate", read_only)
+    methods = [parse_method_spec(m) for m in TABLE_METHODS]
+    for sigma in (0.0, 0.1, 0.5, SIGMA_INF):
+        for n in (2, 50, 4096):
+            spec = ModelSpec(model=model, sigma=sigma, n=n, seed=0)
+            cell = simulate._replicate_cell(spec, methods, 3, 11, keep_per_rep=True)
+            one_by_one = [replicate(spec, m, 3, 11, keep_per_rep=True) for m in methods]
+            # repr tells every float bit apart, -0.0 from 0.0 too
+            assert repr(cell) == repr(one_by_one), (sigma, n)
 
 
 def test_replicate_rejects_zero_reps():
