@@ -30,8 +30,8 @@ once for its max-ranks (``_ranked``), which every rank-based output reads:
 the rank variants, ``y_tied``, Chatterjee's tie denominator and Spearman's
 mid-ranks; the plugin sorts F(y) once. chi is built from the off-diagonal
 row sums of the mapped values in ascending order (``kernels._sorted_row_sums``, exact
-O(n log n) identities for the builtin kernels), which the result keeps for
-the independence test's moments (``_u_sorted``). zeta's kernel values and
+O(n log n) identities for the builtin kernels); the same pass can add the
+three totals of the test's moments (``_pair_mean``). zeta's kernel values and
 chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
 returns math.fsum's value bit for bit, so chi is deterministic, independent
 of the order of the sample, and within 1e-12 relative of the exactly rounded
@@ -114,9 +114,9 @@ class CoefficientResult:
     read it off the max-ranks they compute anyway; it is None for the
     plugin variant, which never ranks y. The private ``_u_sorted`` hands the
     test the mapped values chi reads in ascending order (F(y), or R/n for the
-    rank variants), or None where they are the grid 1/n, ..., 1 of distinct y.
-    ``_row_sums`` holds chi's row sums of those values and of their squares
-    (``kernels._sorted_row_sums``), when the caller asked for them.
+    rank variants), or None where they are the grid 1/n, ..., 1 of distinct y
+    or the test refuses them (simplified). ``_totals`` holds chi's three
+    row-sum totals for the test's moments (``_pair_mean``), when asked for.
     """
 
     xi: float
@@ -127,7 +127,7 @@ class CoefficientResult:
     tie_seed: int
     y_tied: bool | None = None
     _u_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _row_sums: tuple | None = field(default=None, repr=False, compare=False)
+    _totals: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
 
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
@@ -299,17 +299,21 @@ def _rank_gap_power_sum(r_ordered: np.ndarray, gamma: int) -> int:
     """sum_i |r_[i+1] - r_[i]|^gamma over n ranks in 1..n, exactly.
 
     A term is at most (n - 1)^gamma, which the caller keeps within int64.
-    The terms are added in int64 over blocks of at most
-    _INT64_MAX // (n - 1)^gamma gaps, so no partial sum can overflow, and
-    the block totals are joined as Python ints.
+    The terms are added in int64 over blocks of ``BLOCK`` gaps, joined as
+    Python ints. Where a block's sum could pass int64, it is added as two
+    sums, of the terms' high and low 32 bits, which stay below 2^46.
     """
     n = r_ordered.size
+    split = (n - 1) ** gamma * BLOCK > _INT64_MAX
     total = 0
-    for start, stop in blocks(n - 1, min(BLOCK, _INT64_MAX // (n - 1) ** gamma)):
+    for start, stop in blocks(n - 1, BLOCK):
         gaps = np.subtract(r_ordered[start + 1 : stop + 1], r_ordered[start:stop], dtype=np.int64)
         np.abs(gaps, out=gaps)
         if gamma > 1:
             np.power(gaps, gamma, out=gaps)
+        if split:
+            total += int(np.right_shift(gaps, 32).sum()) << 32
+            gaps &= 2**32 - 1
         total += int(gaps.sum())
     return total
 
@@ -320,17 +324,19 @@ def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
     return _fsum(np.asarray(kernel.eval(u_ordered[:-1], u_ordered[1:]), dtype=float)) / n
 
 
-def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple[float, tuple]:
+def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple[float, tuple | None]:
     """chi, the mean kernel value over all n^2 ordered pairs (diagonal included) of
-    ascending v, and the ``_sorted_row_sums(v, kernel, squares)`` it was added from."""
+    ascending v, and, for ``squares``, the exactly rounded totals of the off-diagonal
+    row sums S of h and Q of h^2: (sum S, sum Q, sum (S^2 - Q)), else None."""
     n = v.size
-    sums = _sorted_row_sums(v, kernel, squares)
-    row_sums = sums[0]
+    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares)
+    total = _fsum(row_sums)
+    totals = (total, _fsum(row_sq_sums), _fsum(row_sums**2 - row_sq_sums)) if squares else None
     if kernel.row_sums is None:
         # only hooked kernels are exactly 0 on the diagonal; a custom kernel
         # may leave up to its validation tolerance there, which chi counts
-        row_sums = np.concatenate((row_sums, np.asarray(kernel.eval(v, v), dtype=float)))
-    return _fsum(row_sums) / (n * n), sums
+        total = _fsum(np.concatenate((row_sums, np.asarray(kernel.eval(v, v), dtype=float))))
+    return total / (n * n), totals
 
 
 def _coefficient_from_u(
@@ -342,7 +348,7 @@ def _coefficient_from_u(
     squares: bool,
 ) -> CoefficientResult:
     zeta = _consecutive_mean(u_ordered, kernel)
-    chi, row_sums = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel, squares)
+    chi, totals = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel, squares)
     xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
     return CoefficientResult(
         xi=xi,
@@ -353,7 +359,7 @@ def _coefficient_from_u(
         tie_seed=tie_seed,
         y_tied=None if variant == "plugin" else u_sorted is not None,
         _u_sorted=u_sorted,
-        _row_sums=row_sums if squares else None,
+        _totals=totals,
     )
 
 
@@ -404,7 +410,8 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     which is summed exactly (``_rank_gap_power_sum``) and divided once, so
     zeta is its exactly rounded value. Other kernels, and power:3 from
     n ~ 2.1e6 on, where a term could pass int64, add the kernel values with
-    ``_fsum``.
+    ``_fsum``. ``y_tied`` is set, but ``_u_sorted`` is not: the independence
+    test refuses tied y, and distinct y leave it None.
     """
     c_h = normalization_constant(kernel)
     if c_h <= 0.0:
@@ -426,7 +433,6 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
         n=sample.n,
         tie_seed=tie_seed,
         y_tied=max_ranks is not None,
-        _u_sorted=None if max_ranks is None else max_ranks / n,
     )
 
 
@@ -498,8 +504,8 @@ def coefficient(
     ``plugin`` needs ``dist`` (the map F); ``plugin``, ``rank`` and
     ``simplified`` need ``kernel``; ``chatterjee`` fixes h = |u - v| and
     ignores both. ``_squares`` asks the plugin and rank variants to keep
-    chi's row sums and those of the squared kernel (``_row_sums``), from
-    which the independence test takes its moments.
+    the totals of chi's row sums and of those of the squared kernel
+    (``_totals``), from which the independence test takes its moments.
     """
     # xi_* are looked up by name on every call, so a caller that rebinds
     # them (a profiler, a test double) sees every call
@@ -531,11 +537,14 @@ def pearson(sample: PairedSample) -> float:
 
 def _mid_ranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks: each tied block gets the mean of the 1-based positions it spans,
-    from where its max-rank R first appears among the sorted max-ranks to R."""
+    from its first position, carried along the sorted values, to its max-rank R."""
     r, max_ranks = _ranked(*sort_order(values))
     if max_ranks is None:
         return r.astype(float)
-    return (max_ranks.searchsorted(r) + 1 + r) / 2.0
+    min_ranks = np.arange(1, r.size + 1)
+    min_ranks[1:][max_ranks[1:] == max_ranks[:-1]] = 1
+    np.maximum.accumulate(min_ranks, out=min_ranks)
+    return (min_ranks[r - 1] + r) / 2.0  # a block's last position R - 1 holds its first
 
 
 def spearman(sample: PairedSample) -> float:

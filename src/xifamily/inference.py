@@ -19,12 +19,12 @@ kernels):
     sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i,
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
-added with ``estimator._fsum``, which returns math.fsum's exactly rounded
-value. The test takes those values from its coefficient's result
-(``CoefficientResult._u_sorted``: F(y) for the plugin, R/n for the rank
-variants), so the moments neither map nor sort y again. Where the plugin or
-rank coefficient builds chi, it takes S and Q in its one row-sum pass
-(``CoefficientResult._row_sums``); S is the same with or without Q.
+read through three exactly rounded totals, sum S, sum Q and sum (S^2 - Q)
+(``estimator._pair_mean``). Where the plugin or rank coefficient builds chi,
+its one row-sum pass adds them too (``CoefficientResult._totals``). Else the
+test adds them from its coefficient's mapped values in ascending order
+(``CoefficientResult._u_sorted``: R/n, or None for the grid 1/n, ..., 1 of
+distinct y), so y is neither mapped nor sorted again.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -41,8 +41,8 @@ import numpy as np
 
 from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _ascending_u, _fsum, coefficient
-from .kernels import Kernel, _sorted_row_sums, make_kernel
+from .estimator import PairedSample, _ascending_u, _pair_mean, coefficient
+from .kernels import Kernel, make_kernel
 
 if TYPE_CHECKING:
     from .cdf import DistMap
@@ -118,8 +118,8 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
         q = sum_{i != j} h_ij^2 / (n(n-1))
         r = sum_i (S_i^2 - Q_i) / (n(n-1)(n-2))
     with S_i and Q_i the row sums of h and h^2 over j != i, taken on the
-    sorted F(y) (``kernels._sorted_row_sums``) and added across rows with
-    exactly rounded summation (``estimator._fsum``).
+    sorted F(y) and added across rows with exactly rounded summation
+    (``estimator._pair_mean``).
     """
     ys = np.asarray(ys, dtype=float)
     n = ys.size
@@ -127,20 +127,16 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
         raise DegenerateDataError(f"need n >= 3 for variance estimation, got {n}")
     _, v = sort_order(np.asarray(dist.eval(ys), dtype=float))
     source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
-    return _sigma2_sorted(v, kernel, source)
+    return _sigma2(n, _pair_mean(v, kernel, True)[1], source)
 
 
-def _sigma2_sorted(
-    v: np.ndarray, kernel: Kernel, source: str, sums: tuple | None = None
-) -> VarianceEstimate:
-    """``sigma2_ustat`` from the mapped values in ascending order, n >= 3, and
-    their ``_sorted_row_sums(v, kernel, squares=True)`` when already taken."""
-    n = v.size
-    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares=True) if sums is None else sums
+def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> VarianceEstimate:
+    """``sigma2_ustat`` from the totals ``(sum S, sum Q, sum (S^2 - Q))`` of
+    ``estimator._pair_mean`` over n >= 3 mapped values."""
     pairs = n * (n - 1)
-    m = _fsum(row_sums) / pairs
-    q = _fsum(row_sq_sums) / pairs
-    r = _fsum(row_sums**2 - row_sq_sums) / (pairs * (n - 2))
+    m = totals[0] / pairs
+    q = totals[1] / pairs
+    r = totals[2] / (pairs * (n - 2))
     if m == 0.0:
         raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sigma2 = (q - 2.0 * r + m * m) / (m * m)
@@ -192,9 +188,10 @@ def independence_test(
         )
     else:
         source = "ustat_rank" if rank_based or dist.kind == "empirical" else "ustat_plugin"
-        variance = _sigma2_sorted(
-            _ascending_u(result._u_sorted, sample.n), kernel, source, result._row_sums
-        )
+        totals = result._totals
+        if totals is None:  # chi took no squares, or the variant takes no chi
+            totals = _pair_mean(_ascending_u(result._u_sorted, sample.n), kernel, True)[1]
+        variance = _sigma2(sample.n, totals, source)
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

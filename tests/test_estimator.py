@@ -271,7 +271,7 @@ def test_simplified_zeta_is_the_exactly_rounded_gap_ratio(n, kind, gamma, seed):
 
 
 def test_gap_sum_at_1e5_splits_power3_at_the_int64_bound():
-    # 99_999^3 lets a block hold only 9223 gaps, fewer than GAP_BLOCK
+    # 99_999^3 lets int64 hold only 9223 terms, fewer than GAP_BLOCK
     n = 100_000
     assert (2**63 - 1) // (n - 1) ** 3 < GAP_BLOCK
     for kind in ("distinct", "binary"):
@@ -282,13 +282,12 @@ def test_gap_sum_at_1e5_splits_power3_at_the_int64_bound():
 
 
 @pytest.mark.parametrize("gamma", [1, 2, 3])
-def test_gap_sum_blocks_stay_within_the_int64_bound(monkeypatch, gamma):
-    # with the bound lowered to three worst-case terms and a little, every
-    # gap of 1, n, 1, n, ... is n - 1: the int64 partial sum of each block
-    # must stay within the bound, and the blocks must cover every gap once
-    n = 200
-    bound = 3 * (n - 1) ** gamma + 5
-    monkeypatch.setattr(estimator, "_INT64_MAX", bound)
+def test_gap_sum_keeps_full_blocks_at_the_int64_bound(monkeypatch, gamma):
+    # at n = 2^21, the largest n where power:3 stays exact, ranks 1, n, 1, ...
+    # make every term (n - 1)^gamma, so a block of power:3 terms passes
+    # int64 many times over: its sum must still be exact, and every block
+    # but the last must hold GAP_BLOCK gaps
+    n = 2**21
     seen = []
 
     def recording_blocks(count, size=GAP_BLOCK):
@@ -297,11 +296,11 @@ def test_gap_sum_blocks_stay_within_the_int64_bound(monkeypatch, gamma):
             yield start, stop
 
     monkeypatch.setattr(estimator, "blocks", recording_blocks)
-    r_ordered = np.tile([1, n], n // 2)
+    r_ordered = np.tile(np.array([1, n], dtype=np.int64), n // 2)
     assert _rank_gap_power_sum(r_ordered, gamma) == (n - 1) ** (gamma + 1)
     assert [start for start, _ in seen] == [0] + [stop for _, stop in seen[:-1]]
     assert seen[-1][1] == n - 1
-    assert max(oracle_gap_sum(r_ordered[start : stop + 1], gamma) for start, stop in seen) <= bound
+    assert {stop - start for start, stop in seen[:-1]} == {GAP_BLOCK}
 
 
 def test_simplified_falls_back_to_the_float_sum_past_int64(monkeypatch):

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from xifamily import estimator, inference
+from xifamily import estimator
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
-from xifamily.estimator import VARIANTS, PairedSample, coefficient, xi_simplified
+from xifamily.estimator import VARIANTS, PairedSample, _fsum, coefficient, xi_simplified
 from xifamily.inference import (
     independence_test,
     sigma2_power_closed_form,
@@ -235,7 +235,8 @@ ROW_SUM_KERNELS = ["power:0.5", "power:1", "power:2", "power:3", "exp:1", "expsq
 
 
 def _counted_row_sums(monkeypatch):
-    """Log ``(n, squares)`` of every ``_sorted_row_sums`` call of the estimator and the test."""
+    """Log ``(n, squares)`` of every ``_sorted_row_sums`` call; the test makes
+    them all through the estimator's ``_pair_mean``."""
     calls = []
 
     def counted(v, kernel, squares=False):
@@ -243,7 +244,6 @@ def _counted_row_sums(monkeypatch):
         return _sorted_row_sums(v, kernel, squares)
 
     monkeypatch.setattr(estimator, "_sorted_row_sums", counted)
-    monkeypatch.setattr(inference, "_sorted_row_sums", counted)
     return calls
 
 
@@ -272,6 +272,27 @@ def test_one_row_sum_pass_per_test(monkeypatch, variant, spec, f, continuous, pa
         assert result.sigma2_used == moments
 
 
+@pytest.mark.parametrize(
+    "variant, spec, f", [("rank", "exp:1", None), ("plugin", "expsq", "std-normal")]
+)
+def test_moments_add_three_exact_sums_over_n(monkeypatch, variant, spec, f):
+    # chi's sum of S is the moments' first total, so the test adds S once:
+    # S, Q and S^2 - Q; zeta's n - 1 kernel values come on top
+    n = 1000
+    s = _independent_sample(n, 9)
+    sizes = []
+
+    def counted(values):
+        sizes.append(values.size)
+        return _fsum(values)
+
+    monkeypatch.setattr(estimator, "_fsum", counted)
+    dist = std_normal_map() if f else None
+    result = independence_test(s, parse_kernel_spec(spec), variant, dist)
+    assert result.sigma2_used.source.startswith("ustat_")
+    assert sorted(sizes) == [n - 1, n, n, n]
+
+
 @pytest.mark.parametrize("spec", ROW_SUM_KERNELS + ["custom"])
 @pytest.mark.parametrize("variant", ["plugin", "rank"])
 @pytest.mark.parametrize("ys_kind", ["distinct", "tied"])
@@ -286,12 +307,12 @@ def test_row_sums_with_squares_keep_chi(spec, variant, ys_kind):
     dist = std_normal_map() if variant == "plugin" else None
     plain = coefficient(s, variant, kernel, dist, 5)
     kept = coefficient(s, variant, kernel, dist, 5, _squares=True)
-    assert plain._row_sums is None
+    assert plain._totals is None
     assert (kept.xi, kept.zeta, kept.normalization) == (plain.xi, plain.zeta, plain.normalization)
     u = kept._u_sorted if kept._u_sorted is not None else np.arange(1, 301) / 300
-    row_sums, row_sq_sums = kept._row_sums
-    assert np.array_equal(row_sums, _sorted_row_sums(u, kernel)[0])
-    assert np.array_equal(row_sq_sums, _sorted_row_sums(u, kernel, squares=True)[1])
+    row_sums, row_sq_sums = _sorted_row_sums(u, kernel, squares=True)
+    expected = (row_sums, row_sq_sums, row_sums**2 - row_sq_sums)
+    assert kept._totals == tuple(math.fsum(sums.tolist()) for sums in expected)
 
 
 def _y_with(duplicate, n):

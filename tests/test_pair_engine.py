@@ -320,6 +320,11 @@ def test_exp_row_sums_for_steep_kernels():
     )
 )
 @example([-0.0 if i % 7 == 0 else float(i % 5) for i in range(300)])
+# packed-key sizes: 50 levels, and 5 levels with -0.0 among the zeros
+@example(np.random.default_rng(50).integers(0, 50, 3 * 4096).astype(float).tolist())
+@example(
+    [-0.0 if i % 7 == 0 else float(i % 5) for i in np.random.default_rng(5).permutation(3 * 4096)]
+)
 @settings(max_examples=200, deadline=None)
 def test_average_ranks_equal_scipy_bitwise(values):
     values = np.asarray(values, dtype=float)

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,3 +91,13 @@ def test_output_digest_on_a_small_grid(monkeypatch):
     changed, changed_total = digest.digests(grid)
     assert changed_total != total
     assert all(changed[k] != families[k] for k in families)
+
+
+def test_output_digest_runs():
+    # every map, y shape and x shape of the script's grid, on fewer kernels and sizes
+    digest = load_output_digest()
+    grid = {**digest.GRID, "kernels": ["power:1", "exp:1", "custom"], "sizes": [3, 50]}
+    families, total = digest.digests(grid)
+    assert len(families) == 24
+    assert all(re.fullmatch("[0-9a-f]{64}", value) for value in families.values())
+    assert digest.digests(grid) == (families, total)
