@@ -16,14 +16,15 @@ the unit square, valid for continuous y, dropping the cost from O(n^2) to
 O(n log n). With h = |y - z| and distinct y the simplified variant is, up
 to the (n^2-1)/3 vs n^2/3 denominator, Chatterjee's rank correlation,
 which is also provided directly as a reference. ``coefficient`` selects a
-member by its name in ``VARIANTS``; the CLI, the simulation harness and
-the independence test all go through it.
+member by its name in ``VARIANTS``; the CLI and the simulation harness go
+through it, and the independence test shares its argument check.
 
 All operations are pure functions of (sample, seed). Every sort orders
 by value as argsort does wherever the values are distinct. The rank
 variants read one thing from the data, the ranks of y in x-order
-(``_ranks_in_x_order``): from ``_sorting._PACKED_SORT_MIN`` values on,
-distinct x and y give them by two in-place sorts of packed int64 keys, y's
+(``_ranks_in_x_order``), which ``_rank_based`` turns into the rank,
+simplified or Chatterjee result. From ``_sorting._PACKED_SORT_MIN`` values
+on, distinct x and y give them by two in-place sorts of packed int64 keys, y's
 indices by y and then y's ranks by x, with no gather. Below that, and on
 tied x or y, x is sorted once for its order (``_sorting.sort_order``) and y
 once for its max-ranks (``_ranked``), which every rank-based output reads:
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -112,11 +114,10 @@ class CoefficientResult:
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
     read it off the max-ranks they compute anyway; it is None for the
-    plugin variant, which never ranks y. The private ``_u_sorted`` hands the
-    test the mapped values chi reads in ascending order (F(y), or R/n for the
-    rank variants), or None where they are the grid 1/n, ..., 1 of distinct y
-    or the test refuses them (simplified). ``_totals`` holds chi's three
-    row-sum totals for the test's moments (``_pair_mean``), when asked for.
+    plugin variant, which never ranks y. The private ``_totals`` holds the
+    three row-sum totals of the test's moments (``_pair_mean``) over the
+    mapped values in ascending order (F(y), or R/n for the rank-based
+    variants), when the test asks for them, and is None otherwise.
     """
 
     xi: float
@@ -126,7 +127,6 @@ class CoefficientResult:
     n: int
     tie_seed: int
     y_tied: bool | None = None
-    _u_sorted: np.ndarray | None = field(default=None, repr=False, compare=False)
     _totals: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
 
@@ -224,11 +224,6 @@ def _ranks_in_x_order(
     return r[permutation], max_ranks, x_tied
 
 
-def _ascending_u(u_sorted: np.ndarray | None, n: int) -> np.ndarray:
-    """The mapped values in ascending order: ``u_sorted``, or the grid 1/n, ..., 1 for None."""
-    return np.arange(1, n + 1) / n if u_sorted is None else u_sorted
-
-
 #: below this many values math.fsum beats the numpy call overhead of _fsum
 #: (crossover measured at 700-900 on a 2-core Xeon); from 2^26 values on the
 #: exponent bins could pass 2^53 and lose bits
@@ -324,43 +319,23 @@ def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
     return _fsum(np.asarray(kernel.eval(u_ordered[:-1], u_ordered[1:]), dtype=float)) / n
 
 
-def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple[float, tuple | None]:
-    """chi, the mean kernel value over all n^2 ordered pairs (diagonal included) of
-    ascending v, and, for ``squares``, the exactly rounded totals of the off-diagonal
-    row sums S of h and Q of h^2: (sum S, sum Q, sum (S^2 - Q)), else None."""
+def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -> tuple:
+    """For ascending v: chi, the mean kernel value over all n^2 ordered pairs
+    (diagonal included), or None when ``chi`` is off; and, for ``squares``, the
+    exactly rounded totals of the off-diagonal row sums S of h and Q of h^2:
+    (sum S, sum Q, sum (S^2 - Q)), else None. One row-sum pass gives both."""
     n = v.size
-    row_sums, row_sq_sums = _sorted_row_sums(v, kernel, squares)
-    total = _fsum(row_sums)
-    totals = (total, _fsum(row_sq_sums), _fsum(row_sums**2 - row_sq_sums)) if squares else None
+    sums, sq_sums = _sorted_row_sums(v, kernel, squares)
+    totals = (_fsum(sums), _fsum(sq_sums), _fsum(sums**2 - sq_sums)) if squares else None
+    if not chi:
+        return None, totals
     if kernel.row_sums is None:
         # only hooked kernels are exactly 0 on the diagonal; a custom kernel
         # may leave up to its validation tolerance there, which chi counts
-        total = _fsum(np.concatenate((row_sums, np.asarray(kernel.eval(v, v), dtype=float))))
+        total = _fsum(np.concatenate((sums, np.asarray(kernel.eval(v, v), dtype=float))))
+    else:
+        total = totals[0] if squares else _fsum(sums)
     return total / (n * n), totals
-
-
-def _coefficient_from_u(
-    u_ordered: np.ndarray,
-    u_sorted: np.ndarray | None,
-    kernel: Kernel,
-    variant: str,
-    tie_seed: int,
-    squares: bool,
-) -> CoefficientResult:
-    zeta = _consecutive_mean(u_ordered, kernel)
-    chi, totals = _pair_mean(_ascending_u(u_sorted, u_ordered.size), kernel, squares)
-    xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
-    return CoefficientResult(
-        xi=xi,
-        zeta=zeta,
-        normalization=chi,
-        variant=variant,
-        n=u_ordered.size,
-        tie_seed=tie_seed,
-        y_tied=None if variant == "plugin" else u_sorted is not None,
-        _u_sorted=u_sorted,
-        _totals=totals,
-    )
 
 
 def xi_plugin(
@@ -375,28 +350,104 @@ def xi_plugin(
 
     Computes zeta over consecutive F(y)'s in x-order and chi over all pairs
     (O(n log n) for the builtin kernels, O(n^2) otherwise); xi = 1 - zeta/chi,
-    set to 1 when chi = 0.
+    set to 1 when chi = 0 because y is constant. A map that sends every y of
+    a nonconstant sample to one value (Phi beyond about 8.3, a uniform map
+    outside its interval) raises ``DegenerateDataError`` instead of reading as
+    perfect dependence. ``_squares`` keeps the test's totals (``_pair_mean``).
     """
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    return _coefficient_from_u(
-        u[permutation], sort_order(u)[1], kernel, "plugin", tie_seed, _squares
+    zeta = _consecutive_mean(u[permutation], kernel)
+    chi, totals = _pair_mean(sort_order(u)[1], kernel, _squares)
+    if chi == 0.0 and sample.ys.min() != sample.ys.max():
+        raise DegenerateDataError(
+            f"F = {dist.kind}{dist.params or ''} sends every y to {float(u[0])!r}, though y "
+            "is not constant: chi = 0 and xi is undefined"
+        )
+    return CoefficientResult(
+        xi=1.0 if chi == 0.0 else 1.0 - zeta / chi,
+        zeta=zeta,
+        normalization=chi,
+        variant="plugin",
+        n=sample.n,
+        tie_seed=tie_seed,
+        _totals=totals,
     )
 
 
-def xi_rank(
-    sample: PairedSample, kernel: Kernel, tie_seed: int = 0, *, _squares: bool = False
+def _rank_based(
+    sample: PairedSample,
+    variant: str,
+    kernel: Kernel | None,
+    tie_seed: int,
+    squares: Callable[[bool], bool] | None = None,
 ) -> CoefficientResult:
+    """The rank, simplified or Chatterjee coefficient from one ranking of y in x-order.
+
+    ``_ranks_in_x_order`` ranks y once. ``squares``, if given, is then asked
+    whether two y's are equal, and its answer says whether the result also
+    holds the test's totals (``_pair_mean``) over the ascending R/n, which for
+    distinct y is the grid 1/n, ..., 1. The rank variant adds them in chi's
+    own row-sum pass, simplified and Chatterjee in one pass of their own.
+    The test decides through ``squares`` rather than by ranking first itself,
+    so that no caller holds the integer ranks while the sums run.
+    """
+    n = sample.n
+    # Chatterjee's zeta and the simplified power:1-3 zeta are integer rank-gap sums
+    gamma = 1 if variant == "chatterjee" else None
+    if variant == "simplified":
+        c_h = normalization_constant(kernel)
+        if c_h <= 0.0:
+            raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
+        gamma = _exact_gap_power(kernel, n)
+    r_ordered, max_ranks, x_tied = _ranks_in_x_order(sample, tie_seed)
+    if variant == "chatterjee":
+        if x_tied:
+            raise DegenerateDataError(
+                "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
+            )
+        spread = n * (n * n - 1) // 6 if max_ranks is None else _tie_spread(max_ranks)
+        if spread == 0:
+            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
+    if gamma is None:
+        r_ordered = r_ordered / n  # R/n: the integer ranks are freed before the kernel sum
+        zeta = _consecutive_mean(r_ordered, kernel)
+    else:
+        gap_sum = _rank_gap_power_sum(r_ordered, gamma)
+        zeta = float(gap_sum) if variant == "chatterjee" else gap_sum / n ** (gamma + 1)
+    del r_ordered  # freed before chi's or the totals' pass, as is max_ranks
+    y_tied = max_ranks is not None
+    take_totals = squares is not None and squares(y_tied)
+    chi = totals = None
+    if variant == "rank" or take_totals:
+        u_sorted = (np.arange(1, n + 1) if max_ranks is None else max_ranks) / n
+        del max_ranks
+        chi, totals = _pair_mean(u_sorted, kernel, take_totals, chi=variant == "rank")
+    if variant == "rank":
+        normalization, xi = chi, 1.0 if chi == 0.0 else 1.0 - zeta / chi
+    elif variant == "simplified":
+        normalization, xi = c_h, 1.0 - zeta / c_h
+    else:
+        normalization, xi = 2 * spread / n, (2 * spread - n * gap_sum) / (2 * spread)
+    return CoefficientResult(
+        xi=xi,
+        zeta=zeta,
+        normalization=normalization,
+        variant=variant,
+        n=n,
+        tie_seed=tie_seed,
+        y_tied=y_tied,
+        _totals=totals,
+    )
+
+
+def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
     """Rank-based coefficient: the plugin form with F the empirical CDF.
 
     Uses u_i = R_i / n with the max-rank convention; agrees exactly with
     ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
     """
-    r_ordered, max_ranks, _ = _ranks_in_x_order(sample, tie_seed)
-    u_ordered = r_ordered / sample.n
-    del r_ordered  # freed before the row sums
-    u_sorted = None if max_ranks is None else max_ranks / sample.n
-    return _coefficient_from_u(u_ordered, u_sorted, kernel, "rank", tie_seed, _squares)
+    return _rank_based(sample, "rank", kernel, tie_seed)
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -410,30 +461,10 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     which is summed exactly (``_rank_gap_power_sum``) and divided once, so
     zeta is its exactly rounded value. Other kernels, and power:3 from
     n ~ 2.1e6 on, where a term could pass int64, add the kernel values with
-    ``_fsum``. ``y_tied`` is set, but ``_u_sorted`` is not: the independence
-    test refuses tied y, and distinct y leave it None.
+    ``_fsum``. C_h is computed once, before y is ranked; the independence
+    test refuses tied y (``y_tied``).
     """
-    c_h = normalization_constant(kernel)
-    if c_h <= 0.0:
-        raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
-    n = sample.n
-    r_ordered, max_ranks, _ = _ranks_in_x_order(sample, tie_seed)
-    gamma = _exact_gap_power(kernel, n)
-    if gamma is not None:
-        zeta = _rank_gap_power_sum(r_ordered, gamma) / n ** (gamma + 1)
-    else:
-        u_ordered = r_ordered / n
-        del r_ordered  # the integer ranks are freed before the kernel sum
-        zeta = _consecutive_mean(u_ordered, kernel)
-    return CoefficientResult(
-        xi=1.0 - zeta / c_h,
-        zeta=zeta,
-        normalization=c_h,
-        variant="simplified",
-        n=sample.n,
-        tie_seed=tie_seed,
-        y_tied=max_ranks is not None,
-    )
+    return _rank_based(sample, "simplified", kernel, tie_seed)
 
 
 def _tie_spread(max_ranks: np.ndarray) -> int:
@@ -458,36 +489,20 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
 
     which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). Both
     are one ratio of integers, rounded once; a constant y leaves it
-    undefined and raises ``DegenerateDataError``.
-    Tied x's are rejected too (use ``xi_rank`` there, which handles ties by
-    construction).
+    undefined and raises ``DegenerateDataError``. Tied x's are rejected too
+    (use ``xi_rank`` there, which handles ties by construction).
     """
-    n = sample.n
-    r_ordered, max_ranks, x_tied = _ranks_in_x_order(sample, tie_seed)
-    if x_tied:
-        raise DegenerateDataError(
-            "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
-        )
-    # exact, and the same routine as the simplified power:1 zeta's numerator
-    gap_sum = _rank_gap_power_sum(r_ordered, 1)
-    if max_ranks is None:
-        spread = n * (n * n - 1) // 6  # l_i runs over 1, ..., n
-    else:
-        spread = _tie_spread(max_ranks)
-        if spread == 0:
-            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
-    normalization = 2 * spread / n
-    xi = (2 * spread - n * gap_sum) / (2 * spread)
-    return CoefficientResult(
-        xi=xi,
-        zeta=float(gap_sum),
-        normalization=normalization,
-        variant="chatterjee",
-        n=n,
-        tie_seed=tie_seed,
-        y_tied=max_ranks is not None,
-        _u_sorted=None if max_ranks is None else max_ranks / n,
-    )
+    return _rank_based(sample, "chatterjee", None, tie_seed)
+
+
+def _check_arguments(variant: str, kernel: Kernel | None, dist: DistMap | None) -> None:
+    """Refuse what ``coefficient`` cannot compute, with the messages the test shares."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if kernel is None and variant != "chatterjee":
+        raise ValueError(f"{variant} variant requires a kernel")
+    if variant == "plugin" and dist is None:
+        raise ValueError("plugin variant requires a distribution map")
 
 
 def coefficient(
@@ -496,38 +511,34 @@ def coefficient(
     kernel: Kernel | None = None,
     dist: DistMap | None = None,
     tie_seed: int = 0,
-    *,
-    _squares: bool = False,
 ) -> CoefficientResult:
     """The family member named by ``variant``, one of ``VARIANTS``.
 
     ``plugin`` needs ``dist`` (the map F); ``plugin``, ``rank`` and
     ``simplified`` need ``kernel``; ``chatterjee`` fixes h = |u - v| and
-    ignores both. ``_squares`` asks the plugin and rank variants to keep
-    the totals of chi's row sums and of those of the squared kernel
-    (``_totals``), from which the independence test takes its moments.
+    ignores both.
     """
+    _check_arguments(variant, kernel, dist)
     # xi_* are looked up by name on every call, so a caller that rebinds
     # them (a profiler, a test double) sees every call
-    if kernel is None and variant in VARIANTS and variant != "chatterjee":
-        raise ValueError(f"{variant} variant requires a kernel")
     if variant == "plugin":
-        if dist is None:
-            raise ValueError("plugin variant requires a distribution map")
-        return xi_plugin(sample, kernel, dist, tie_seed, _squares=_squares)
+        return xi_plugin(sample, kernel, dist, tie_seed)
     if variant == "rank":
-        return xi_rank(sample, kernel, tie_seed, _squares=_squares)
+        return xi_rank(sample, kernel, tie_seed)
     if variant == "simplified":
         return xi_simplified(sample, kernel, tie_seed)
-    if variant == "chatterjee":
-        return chatterjee_reference(sample, tie_seed)
-    raise ValueError(f"unknown variant {variant!r}")
+    return chatterjee_reference(sample, tie_seed)
 
 
 def pearson(sample: PairedSample) -> float:
     """Product-moment correlation; rejects zero-variance coordinates."""
-    xc = sample.xs - np.mean(sample.xs)
-    yc = sample.ys - np.mean(sample.ys)
+    return _pearson(sample.xs, sample.ys)
+
+
+def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
+    """``pearson`` of two finite float arrays of one length."""
+    xc = xs - np.mean(xs)
+    yc = ys - np.mean(ys)
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:
@@ -548,5 +559,5 @@ def _mid_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def spearman(sample: PairedSample) -> float:
-    """Pearson correlation of mid-ranks (average rank on ties)."""
-    return pearson(PairedSample(xs=_mid_ranks(sample.xs), ys=_mid_ranks(sample.ys)))
+    """Pearson correlation of mid-ranks (average rank on ties), finite by construction."""
+    return _pearson(_mid_ranks(sample.xs), _mid_ranks(sample.ys))

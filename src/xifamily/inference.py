@@ -20,11 +20,11 @@ kernels):
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
 read through three exactly rounded totals, sum S, sum Q and sum (S^2 - Q)
-(``estimator._pair_mean``). Where the plugin or rank coefficient builds chi,
-its one row-sum pass adds them too (``CoefficientResult._totals``). Else the
-test adds them from its coefficient's mapped values in ascending order
-(``CoefficientResult._u_sorted``: R/n, or None for the grid 1/n, ..., 1 of
-distinct y), so y is neither mapped nor sorted again.
+(``estimator._pair_mean``), that the coefficient's result hands over
+(``CoefficientResult._totals``). A rank-based test ranks y first and asks
+for them only where the U-statistic serves, so every test takes at most one
+row-sum pass, y is neither mapped nor sorted again, and ``_totals`` is None
+exactly where the closed form applies.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -41,7 +41,7 @@ import numpy as np
 
 from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _ascending_u, _pair_mean, coefficient
+from .estimator import PairedSample, _check_arguments, _pair_mean, _rank_based, xi_plugin
 from .kernels import Kernel, make_kernel
 
 if TYPE_CHECKING:
@@ -127,7 +127,7 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
         raise DegenerateDataError(f"need n >= 3 for variance estimation, got {n}")
     _, v = sort_order(np.asarray(dist.eval(ys), dtype=float))
     source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
-    return _sigma2(n, _pair_mean(v, kernel, True)[1], source)
+    return _sigma2(n, _pair_mean(v, kernel, True, chi=False)[1], source)
 
 
 def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> VarianceEstimate:
@@ -165,33 +165,37 @@ def independence_test(
     empirical CDF for rank variants and under ``dist`` for the plugin, so
     tied y declared continuous are tested as if undeclared. The simplified
     variant refuses tied y with ``DegenerateDataError``: its C_h is the
-    pairwise normalization of continuous y only.
+    pairwise normalization of continuous y only. Bad arguments raise the
+    ``ValueError`` that ``coefficient`` raises.
     """
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
-    rank_based = variant != "plugin"
-    if variant == "chatterjee":
-        kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
-    closed_form = rank_based and continuous_y and kernel is not None and kernel.name == "power"
-    # where the U-statistic serves, chi's row-sum pass also takes the squares
-    result = coefficient(sample, variant, kernel, dist, tie_seed, _squares=not closed_form)
-    if variant == "simplified" and result.y_tied:
-        raise DegenerateDataError(
-            "tied y: the simplified test's C_h normalization assumes continuous y; "
-            "use the rank variant"
-        )
+    _check_arguments(variant, kernel, dist)
+    if variant == "plugin":
+        result = xi_plugin(sample, kernel, dist, tie_seed, _squares=True)
+    else:
+        if variant == "chatterjee":
+            kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
+        power = continuous_y and kernel.name == "power"
 
-    if closed_form and not result.y_tied:
+        def ustat_serves(y_tied: bool) -> bool:  # the simplified test refuses tied y below
+            return (y_tied or not power) and not (y_tied and variant == "simplified")
+
+        result = _rank_based(sample, variant, kernel, tie_seed, ustat_serves)
+        if variant == "simplified" and result.y_tied:
+            raise DegenerateDataError(
+                "tied y: the simplified test's C_h normalization assumes continuous y; "
+                "use the rank variant"
+            )
+
+    if result._totals is None:  # a power kernel on untied y declared continuous
         variance = VarianceEstimate(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",
         )
     else:
-        source = "ustat_rank" if rank_based or dist.kind == "empirical" else "ustat_plugin"
-        totals = result._totals
-        if totals is None:  # chi took no squares, or the variant takes no chi
-            totals = _pair_mean(_ascending_u(result._u_sorted, sample.n), kernel, True)[1]
-        variance = _sigma2(sample.n, totals, source)
+        plugin = variant == "plugin" and dist.kind != "empirical"
+        variance = _sigma2(sample.n, result._totals, "ustat_plugin" if plugin else "ustat_rank")
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

@@ -453,6 +453,25 @@ def test_rank_constant_series_gets_nan_row_under_fixed_maps(tmp_path, capsys, me
     check_flat_series_gets_nan_row(tmp_path, capsys, method)
 
 
+def test_rank_lists_a_series_its_map_merges_as_nan(tmp_path, capsys):
+    # std-normal sends every value of the first series to 1.0, which would
+    # give it xi = 1 and the top of the ranking
+    rng = np.random.default_rng(33)
+    x = np.linspace(-1.0, 1.0, 200)
+    path = write_csv(
+        tmp_path / "merged.csv",
+        ["t", "saturated", "quad", "noise"],
+        [x, 9.0 + 0.01 * rng.normal(size=200), x**2, rng.normal(size=200)],
+    )
+    code = main(["rank", "--file", path, "--x-col", "t", "--f", "std-normal"])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(captured.out.strip().splitlines()))
+    assert [r[0] for r in rows[1:]] == ["quad", "noise", "saturated"]
+    assert rows[-1] == ["saturated", "nan", ""]
+    assert "1 degenerate series" in captured.err
+
+
 def check_flat_series_gets_nan_row(tmp_path, capsys, method):
     rng = np.random.default_rng(5)
     path = write_csv(

@@ -145,6 +145,24 @@ def test_plugin_constant_y_is_one():
     assert res.xi == 1.0
 
 
+def test_plugin_refuses_a_normal_map_that_merges_every_y():
+    # Phi rounds every value above about 8.3 to 1.0, so chi = 0 on a y that
+    # is not constant: that must not read as perfect dependence, xi = 1
+    rng = np.random.default_rng(91)
+    s = sample(rng.random(1000), 9.0 + 0.01 * rng.normal(size=1000))
+    merged = "F = std_normal sends every y to 1.0, though y is not constant"
+    with pytest.raises(DegenerateDataError, match=merged):
+        xi_plugin(s, POWER1, std_normal_map())
+    assert abs(xi_rank(s, POWER1).xi) < 0.1  # the ranks still tell the y's apart
+
+
+def test_plugin_refuses_a_uniform_map_that_clips_every_y():
+    rng = np.random.default_rng(92)
+    s = sample(rng.random(500), rng.uniform(2.0, 3.0, 500))
+    with pytest.raises(DegenerateDataError, match=r"F = uniform\{.*\} sends every y to 1.0"):
+        xi_plugin(s, EXP1, uniform_map(0.0, 1.0))
+
+
 def test_plugin_identity_high_dependence():
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, 100)
     s = sample(xs, xs)
@@ -476,6 +494,16 @@ def test_spearman_uses_midranks_on_ties():
     s = sample([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 6.0, 7.0])
     expected = np.corrcoef([1.0, 2.0, 3.0, 4.0], [1.5, 1.5, 3.0, 4.0])[0, 1]
     assert spearman(s) == pytest.approx(expected, abs=1e-12)
+
+
+def test_spearman_builds_no_second_sample(monkeypatch):
+    # mid-ranks of a validated sample are finite floats, so they are not
+    # checked again; a constant coordinate is still refused
+    monkeypatch.setattr(estimator, "PairedSample", None)
+    xs = np.linspace(0.0, 1.0, 20)
+    assert spearman(sample(xs, -(xs**3))) == pytest.approx(-1.0, abs=1e-12)
+    with pytest.raises(DegenerateDataError, match="zero variance"):
+        spearman(sample(xs, np.full(20, 4.0)))
 
 
 # -------------------------------------------------------------- invariants

@@ -8,7 +8,16 @@ from scipy.special import ndtr
 from xifamily import estimator
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
-from xifamily.estimator import VARIANTS, PairedSample, _fsum, coefficient, xi_simplified
+from xifamily.estimator import (
+    VARIANTS,
+    PairedSample,
+    _fsum,
+    coefficient,
+    ranks,
+    xi_plugin,
+    xi_rank,
+    xi_simplified,
+)
 from xifamily.inference import (
     independence_test,
     sigma2_power_closed_form,
@@ -258,10 +267,33 @@ def _counted_row_sums(monkeypatch):
         # the closed form needs no moments, so chi takes S alone
         ("rank", "power:1", None, True, [(500, False)]),
         ("simplified", "power:1", None, True, []),
+        # Chatterjee takes no chi, so the closed form sums nothing
+        ("chatterjee", "power:1", None, True, []),
     ],
 )
 def test_one_row_sum_pass_per_test(monkeypatch, variant, spec, f, continuous, passes):
     s = _independent_sample(500, 8)
+    check_row_sum_passes(monkeypatch, s, variant, spec, f, continuous, passes)
+
+
+@pytest.mark.parametrize(
+    "variant, spec, passes",
+    [
+        # the ranking shows the ties before any sum, so chi takes S and Q at once
+        ("rank", "power:0.5", [(500, True)]),
+        ("rank", "power:1", [(500, True)]),
+        ("chatterjee", "power:1", [(500, True)]),
+    ],
+)
+def test_one_row_sum_pass_per_test_on_tied_y(monkeypatch, variant, spec, passes):
+    # declared continuous, so a test that learned of the ties after chi's pass
+    # would have taken S alone first
+    s = _independent_sample(500, 8)
+    tied = PairedSample(xs=s.xs, ys=s.ys.round(1))
+    check_row_sum_passes(monkeypatch, tied, variant, spec, None, True, passes)
+
+
+def check_row_sum_passes(monkeypatch, s, variant, spec, f, continuous, passes):
     kernel = parse_kernel_spec(spec)
     dist = std_normal_map() if f else None
     calls = _counted_row_sums(monkeypatch)
@@ -293,6 +325,51 @@ def test_moments_add_three_exact_sums_over_n(monkeypatch, variant, spec, f):
     assert sorted(sizes) == [n - 1, n, n, n]
 
 
+def test_custom_kernel_sums_only_what_is_read(monkeypatch):
+    # chi alone adds S once, together with the diagonal it counts; the
+    # moments alone add S, Q and S^2 - Q and never evaluate the diagonal
+    n = 300
+    s = _independent_sample(n, 10)
+    sizes, vector_evals = [], []
+
+    def counted_sum(values):
+        sizes.append(values.size)
+        return _fsum(values)
+
+    def counted_eval(u, v):
+        if np.ndim(u) == 1:  # zeta's consecutive pairs or chi's diagonal; blocks are 2-D
+            vector_evals.append(np.size(u))
+        return CUSTOM.eval(u, v)
+
+    kernel = custom_kernel("counted", counted_eval)
+    monkeypatch.setattr(estimator, "_fsum", counted_sum)
+    xi_rank(s, kernel)
+    assert (sorted(sizes), vector_evals) == ([n - 1, 2 * n], [n - 1, n])
+    sizes.clear()
+    vector_evals.clear()
+    sigma2_ustat(s.ys, kernel, empirical_map(s.ys))
+    assert (sorted(sizes), vector_evals) == ([n, n, n], [])
+
+
+@pytest.mark.parametrize(
+    "variant, kernel, dist",
+    [
+        ("spearman", POWER1, None),
+        ("rank", None, None),
+        ("simplified", None, None),
+        ("plugin", None, std_normal_map()),
+        ("plugin", POWER1, None),
+    ],
+)
+def test_test_and_coefficient_refuse_bad_arguments_alike(variant, kernel, dist):
+    s = _independent_sample(50, 11)
+    with pytest.raises(ValueError) as by_coefficient:
+        coefficient(s, variant, kernel, dist)
+    with pytest.raises(ValueError) as by_test:
+        independence_test(s, kernel, variant, dist)
+    assert str(by_test.value) == str(by_coefficient.value)
+
+
 @pytest.mark.parametrize("spec", ROW_SUM_KERNELS + ["custom"])
 @pytest.mark.parametrize("variant", ["plugin", "rank"])
 @pytest.mark.parametrize("ys_kind", ["distinct", "tied"])
@@ -304,12 +381,17 @@ def test_row_sums_with_squares_keep_chi(spec, variant, ys_kind):
         ys = ys.round(0)
     s = PairedSample(xs=rng.random(300), ys=ys)
     kernel = CUSTOM if spec == "custom" else parse_kernel_spec(spec)
-    dist = std_normal_map() if variant == "plugin" else None
-    plain = coefficient(s, variant, kernel, dist, 5)
-    kept = coefficient(s, variant, kernel, dist, 5, _squares=True)
+    if variant == "plugin":
+        dist = std_normal_map()
+        plain = xi_plugin(s, kernel, dist, 5)
+        kept = xi_plugin(s, kernel, dist, 5, _squares=True)
+        u = np.sort(dist.eval(ys))
+    else:
+        plain = xi_rank(s, kernel, 5)
+        kept = estimator._rank_based(s, "rank", kernel, 5, squares=lambda y_tied: True)
+        u = np.sort(ranks(ys)) / 300  # the grid 1/n, ..., 1 for distinct y
     assert plain._totals is None
     assert (kept.xi, kept.zeta, kept.normalization) == (plain.xi, plain.zeta, plain.normalization)
-    u = kept._u_sorted if kept._u_sorted is not None else np.arange(1, 301) / 300
     row_sums, row_sq_sums = _sorted_row_sums(u, kernel, squares=True)
     expected = (row_sums, row_sq_sums, row_sums**2 - row_sq_sums)
     assert kept._totals == tuple(math.fsum(sums.tolist()) for sums in expected)

@@ -94,9 +94,9 @@ def test_output_digest_on_a_small_grid(monkeypatch):
 
 
 def test_output_digest_runs():
-    # every map, y shape and x shape of the script's grid, on fewer kernels and sizes
+    # every kernel, map, y shape and x shape of the script's grid, on fewer sizes
     digest = load_output_digest()
-    grid = {**digest.GRID, "kernels": ["power:1", "exp:1", "custom"], "sizes": [3, 50]}
+    grid = {**digest.GRID, "sizes": [3, 50]}
     families, total = digest.digests(grid)
     assert len(families) == 24
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in families.values())

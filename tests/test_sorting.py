@@ -275,8 +275,7 @@ def result_or_refusal(call):
         result = call()
     except DegenerateDataError as exc:
         return type(exc).__name__, str(exc)
-    u_sorted = None if result._u_sorted is None else result._u_sorted.tobytes()
-    return result.xi, result.zeta, result.normalization, result.y_tied, u_sorted
+    return result.xi, result.zeta, result.normalization, result.y_tied, result._totals
 
 
 @pytest.mark.parametrize("n", [MIN, 3 * MIN])
@@ -285,11 +284,19 @@ def test_rank_variants_take_two_packed_sorts(n):
     xs = rng.normal(size=n)
     ys = xs + rng.normal(size=n)
     power1, exp1 = parse_kernel_spec("power:1"), parse_kernel_spec("exp:1")
+
+    def with_totals(variant, kernel):
+        return lambda s: estimator._rank_based(s, variant, kernel, 5, squares=lambda y_tied: True)
+
     calls = [
         lambda s: xi_simplified(s, power1, 5),
         lambda s: xi_simplified(s, exp1, 5),
         lambda s: xi_rank(s, exp1, 5),
         lambda s: chatterjee_reference(s, 5),
+        # the test's totals, over the ascending R/n that each ranking gives
+        with_totals("rank", exp1),
+        with_totals("simplified", exp1),
+        with_totals("chatterjee", power1),
     ]
     distinct = PairedSample(xs=xs, ys=ys)
     tied = [PairedSample(xs=xs, ys=ys.round(1)), PairedSample(xs=xs.round(1), ys=ys)]
