@@ -13,9 +13,10 @@ zeta is small when y tracks x; chi calibrates xi to 0 under independence.
 The rank variant substitutes the empirical CDF (F(y) = rank/n), and the
 simplified variant replaces chi by the constant C_h = integral of h over
 the unit square, valid for continuous y, dropping the cost from O(n^2) to
-O(n log n). With h = |y - z| and distinct y the simplified variant is, up
-to the (n^2-1)/3 vs n^2/3 denominator, Chatterjee's rank correlation,
-which is also provided directly as a reference. ``coefficient`` selects a
+O(n log n). With h = |y - z| the rank variant is Chatterjee's rank
+correlation, tie denominator included, which is also provided directly as
+a reference; with distinct y the simplified variant differs from it only by
+the n^2/3 vs (n^2-1)/3 denominator. ``coefficient`` selects a
 member by its name in ``VARIANTS``; the CLI and the simulation harness go
 through it, and the independence test shares its argument check.
 
@@ -39,13 +40,17 @@ of the order of the sample, and within 1e-12 relative of the exactly rounded
 sum of all n^2 kernel values (the tolerance the tests check against a
 row-loop oracle). The simplified variant with power:1, power:2 or power:3
 needs no kernel values at all: its zeta is an integer sum of rank-gap
-powers over n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``,
-which also gives Chatterjee's gap sum) and rounded once.
+powers over n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``)
+and rounded once. So does the rank variant with power:1 or power:2
+(Chatterjee's coefficient is its power:1 case), whose chi is the integer
+pair sum of ``_pair_power_sum``, and the plugin variant with them where F(y)
+lies on the lattice 0, 1/n, ..., 1, as the empirical CDF always does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -108,8 +113,10 @@ class CoefficientResult:
 
     For the plugin and rank variants ``xi = 1 - zeta / normalization`` when
     the normalization is positive and 1 when it is zero; for the simplified
-    variant the normalization is C_h. For the Chatterjee reference, zeta is
-    the raw consecutive rank-gap sum and the normalization is
+    variant the normalization is C_h. Where they come from integers (rank
+    power:1 and power:2, see ``xi_rank``), each of the three is rounded once.
+    For the Chatterjee reference, xi is rank power:1's, zeta is the raw
+    consecutive rank-gap sum and the normalization is
     2 * sum_i l_i (n - l_i) / n, which is (n^2 - 1) / 3 without tied y.
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
@@ -140,6 +147,7 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
     the one the (x, key) sort returns for every seed. Deterministic given
     (sample, tie_seed); O(n log n).
     """
+    _check_tie_seed(tie_seed)
     return _order_and_x_tied(sample, tie_seed)[0]
 
 
@@ -151,6 +159,13 @@ def _order_and_x_tied(sample: PairedSample, tie_seed: int) -> tuple[np.ndarray, 
     if x_tied:
         perm = _x_tie_break(sample, tie_seed)
     return perm, x_tied
+
+
+def _check_tie_seed(tie_seed) -> None:
+    """Refuse a seed that is not a non-negative integer before the data show
+    whether tied x's read it."""
+    if not isinstance(tie_seed, numbers.Integral) or tie_seed < 0:
+        raise ValueError(f"tie_seed must be a non-negative integer, got {tie_seed!r}")
 
 
 def _x_tie_break(sample: PairedSample, tie_seed: int) -> np.ndarray:
@@ -201,6 +216,7 @@ def _ranks_in_x_order(
     by x come out in x-order. Tied y take their max-ranks from the first sort
     and ``order_by_x``; tied x keep the y ranks and take its seeded tie-break.
     """
+    _check_tie_seed(tie_seed)
     n = sample.n
     xs, ys = sample.xs, sample.ys
     if n < _sorting._PACKED_SORT_MIN:
@@ -290,27 +306,68 @@ def _exact_gap_power(kernel: Kernel, n: int) -> int | None:
     return None
 
 
-def _rank_gap_power_sum(r_ordered: np.ndarray, gamma: int) -> int:
-    """sum_i |r_[i+1] - r_[i]|^gamma over n ranks in 1..n, exactly.
+def _int_sum(parts, bound: int) -> int:
+    """The exact sum of int64 blocks of at most ``BLOCK`` terms, each at most
+    ``bound`` in magnitude, joined as Python ints. Where a block's sum could
+    pass int64, it is added as two sums, of the terms' high and low 32 bits."""
+    split = bound * BLOCK > _INT64_MAX
+    total = 0
+    for terms in parts:
+        if split:
+            total += int(np.right_shift(terms, 32).sum()) << 32
+            terms &= 2**32 - 1
+        total += int(terms.sum())
+    return total
 
-    A term is at most (n - 1)^gamma, which the caller keeps within int64.
-    The terms are added in int64 over blocks of ``BLOCK`` gaps, joined as
-    Python ints. Where a block's sum could pass int64, it is added as two
-    sums, of the terms' high and low 32 bits, which stay below 2^46.
+
+def _rank_gap_power_sum(r_ordered: np.ndarray, gamma: int) -> int:
+    """sum_i |r_[i+1] - r_[i]|^gamma over n integer ranks in 0..n, exactly.
+
+    A term is at most n^gamma, or (n - 1)^gamma for ranks in 1..n, which the
+    caller keeps within int64; the terms are added in blocks of ``BLOCK``
+    gaps (``_int_sum``).
     """
     n = r_ordered.size
-    split = (n - 1) ** gamma * BLOCK > _INT64_MAX
-    total = 0
-    for start, stop in blocks(n - 1, BLOCK):
-        gaps = np.subtract(r_ordered[start + 1 : stop + 1], r_ordered[start:stop], dtype=np.int64)
-        np.abs(gaps, out=gaps)
-        if gamma > 1:
-            np.power(gaps, gamma, out=gaps)
-        if split:
-            total += int(np.right_shift(gaps, 32).sum()) << 32
-            gaps &= 2**32 - 1
-        total += int(gaps.sum())
-    return total
+
+    def powers():
+        for start, stop in blocks(n - 1, BLOCK):
+            gaps = np.subtract(
+                r_ordered[start + 1 : stop + 1], r_ordered[start:stop], dtype=np.int64
+            )
+            np.abs(gaps, out=gaps)
+            yield np.power(gaps, gamma, out=gaps) if gamma > 1 else gaps
+
+    return _int_sum(powers(), n**gamma)
+
+
+def _pair_power_sum(r_sorted: np.ndarray | None, n: int, gamma: int) -> int:
+    """P = sum_{i,j} |R_i - R_j|^gamma over n integers R in 0..n, exactly, for
+    gamma 1 or 2; ``r_sorted`` holds them in ascending order, or is None for
+    the ranks 1, ..., n of distinct values.
+
+    P_1 = 2 sum_k (2k - n - 1) R_(k) and P_2 = 2n sum R^2 - 2 (sum R)^2, added
+    in int64 blocks (``_int_sum``); 1, ..., n give n (n^2 - 1) / 3 and
+    n^2 (n^2 - 1) / 6. For max-ranks, P_1 is 2 sum_i l_i (n - l_i) with
+    l_i = #{j : y_j >= y_i}, Chatterjee's tie denominator.
+    """
+    if r_sorted is None:
+        return n * (n * n - 1) // 3 if gamma == 1 else n * n * (n * n - 1) // 6
+    if gamma == 1:
+        weighted = (
+            np.arange(2 * start - n + 1, 2 * stop - n, 2, dtype=np.int64) * r_sorted[start:stop]
+            for start, stop in blocks(n, BLOCK)
+        )
+        return 2 * _int_sum(weighted, n * n)
+    squares = (np.square(r_sorted[start:stop], dtype=np.int64) for start, stop in blocks(n, BLOCK))
+    total = int(r_sorted.sum(dtype=np.int64))  # at most n^2
+    return 2 * n * _int_sum(squares, n * n) - 2 * total * total
+
+
+def _lattice_ratio(gap_sum: int, pair_sum: int, n: int, gamma: int) -> tuple[float, float, float]:
+    """``(xi, zeta, chi)`` of u = R/n and h = |u - v|^gamma, each an integer
+    ratio rounded once, from the gap and pair sums of R (``xi_rank``)."""
+    xi = 1.0 if pair_sum == 0 else (pair_sum - n * gap_sum) / pair_sum
+    return xi, gap_sum / n ** (gamma + 1), pair_sum / n ** (gamma + 2)
 
 
 def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
@@ -338,6 +395,17 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -
     return total / (n * n), totals
 
 
+def _lattice_power(kernel: Kernel, v: np.ndarray) -> int | None:
+    """gamma when ``kernel`` is power:1 or power:2 and the ascending mapped
+    values ``v`` lie on the lattice 0, 1/n, ..., 1: R = rint(n v) with R/n == v
+    bit for bit, as the empirical map's values always do; else None."""
+    n = v.size
+    gamma = _exact_gap_power(kernel, n)
+    if gamma in (1, 2) and 0.0 <= v[0] and v[-1] <= 1.0:
+        return gamma if np.array_equal(np.rint(v * n) / n, v) else None
+    return None
+
+
 def xi_plugin(
     sample: PairedSample,
     kernel: Kernel,
@@ -354,22 +422,34 @@ def xi_plugin(
     a nonconstant sample to one value (Phi beyond about 8.3, a uniform map
     outside its interval) raises ``DegenerateDataError`` instead of reading as
     perfect dependence. ``_squares`` keeps the test's totals (``_pair_mean``).
+    With power:1 or power:2 and every F(y) on the lattice 0, 1/n, ..., 1, as
+    for the empirical CDF, zeta, chi and xi are ``xi_rank``'s integer ratios.
     """
+    n = sample.n
     permutation = order_by_x(sample, tie_seed)
     u = np.asarray(dist.eval(sample.ys), dtype=float)
-    zeta = _consecutive_mean(u[permutation], kernel)
-    chi, totals = _pair_mean(sort_order(u)[1], kernel, _squares)
+    v = sort_order(u)[1]
+    gamma = _lattice_power(kernel, v)
+    if gamma is None:
+        zeta = _consecutive_mean(u[permutation], kernel)
+        chi, totals = _pair_mean(v, kernel, _squares)
+        xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
+    else:
+        r_ordered = np.rint(u[permutation] * n).astype(np.int64)
+        pair_sum = _pair_power_sum(np.rint(v * n).astype(np.int64), n, gamma)
+        xi, zeta, chi = _lattice_ratio(_rank_gap_power_sum(r_ordered, gamma), pair_sum, n, gamma)
+        totals = _pair_mean(v, kernel, True, chi=False)[1] if _squares else None
     if chi == 0.0 and sample.ys.min() != sample.ys.max():
         raise DegenerateDataError(
             f"F = {dist.kind}{dist.params or ''} sends every y to {float(u[0])!r}, though y "
             "is not constant: chi = 0 and xi is undefined"
         )
     return CoefficientResult(
-        xi=1.0 if chi == 0.0 else 1.0 - zeta / chi,
+        xi=xi,
         zeta=zeta,
         normalization=chi,
         variant="plugin",
-        n=sample.n,
+        n=n,
         tie_seed=tie_seed,
         _totals=totals,
     )
@@ -387,48 +467,54 @@ def _rank_based(
     ``_ranks_in_x_order`` ranks y once. ``squares``, if given, is then asked
     whether two y's are equal, and its answer says whether the result also
     holds the test's totals (``_pair_mean``) over the ascending R/n, which for
-    distinct y is the grid 1/n, ..., 1. The rank variant adds them in chi's
-    own row-sum pass, simplified and Chatterjee in one pass of their own.
-    The test decides through ``squares`` rather than by ranking first itself,
-    so that no caller holds the integer ranks while the sums run.
+    distinct y is the grid 1/n, ..., 1. The rank variant with a kernel other
+    than power:1 or power:2 adds them in chi's own row-sum pass, every other
+    result in one pass of its own. The test decides through ``squares``
+    rather than by ranking first itself, so that no caller holds the integer
+    ranks while the sums run.
     """
     n = sample.n
-    # Chatterjee's zeta and the simplified power:1-3 zeta are integer rank-gap sums
-    gamma = 1 if variant == "chatterjee" else None
+    # zeta is an integer rank-gap sum for Chatterjee, simplified power:1-3
+    # and rank power:1-2, whose chi is an integer pair sum too
+    gamma = 1 if variant == "chatterjee" else _exact_gap_power(kernel, n)
     if variant == "simplified":
         c_h = normalization_constant(kernel)
         if c_h <= 0.0:
             raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
-        gamma = _exact_gap_power(kernel, n)
+    elif gamma == 3:
+        gamma = None  # the rank variant adds power:3's pairs in floats
     r_ordered, max_ranks, x_tied = _ranks_in_x_order(sample, tie_seed)
-    if variant == "chatterjee":
-        if x_tied:
-            raise DegenerateDataError(
-                "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
-            )
-        spread = n * (n * n - 1) // 6 if max_ranks is None else _tie_spread(max_ranks)
-        if spread == 0:
-            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
+    if variant == "chatterjee" and x_tied:
+        raise DegenerateDataError(
+            "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
+        )
     if gamma is None:
         r_ordered = r_ordered / n  # R/n: the integer ranks are freed before the kernel sum
         zeta = _consecutive_mean(r_ordered, kernel)
     else:
         gap_sum = _rank_gap_power_sum(r_ordered, gamma)
-        zeta = float(gap_sum) if variant == "chatterjee" else gap_sum / n ** (gamma + 1)
+        zeta = gap_sum / n ** (gamma + 1)
     del r_ordered  # freed before chi's or the totals' pass, as is max_ranks
+    if variant != "simplified" and gamma is not None:
+        pair_sum = _pair_power_sum(max_ranks, n, gamma)
+        if variant == "chatterjee" and pair_sum == 0:
+            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
     y_tied = max_ranks is not None
     take_totals = squares is not None and squares(y_tied)
+    sum_chi = variant == "rank" and gamma is None
     chi = totals = None
-    if variant == "rank" or take_totals:
+    if sum_chi or take_totals:
         u_sorted = (np.arange(1, n + 1) if max_ranks is None else max_ranks) / n
         del max_ranks
-        chi, totals = _pair_mean(u_sorted, kernel, take_totals, chi=variant == "rank")
-    if variant == "rank":
-        normalization, xi = chi, 1.0 if chi == 0.0 else 1.0 - zeta / chi
-    elif variant == "simplified":
+        chi, totals = _pair_mean(u_sorted, kernel, take_totals, chi=sum_chi)
+    if variant == "simplified":
         normalization, xi = c_h, 1.0 - zeta / c_h
+    elif sum_chi:
+        normalization, xi = chi, 1.0 if chi == 0.0 else 1.0 - zeta / chi
     else:
-        normalization, xi = 2 * spread / n, (2 * spread - n * gap_sum) / (2 * spread)
+        xi, zeta, normalization = _lattice_ratio(gap_sum, pair_sum, n, gamma)
+        if variant == "chatterjee":  # the raw sums, not the rounded ratios rescaled
+            zeta, normalization = float(gap_sum), pair_sum / n
     return CoefficientResult(
         xi=xi,
         zeta=zeta,
@@ -445,7 +531,11 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     """Rank-based coefficient: the plugin form with F the empirical CDF.
 
     Uses u_i = R_i / n with the max-rank convention; agrees exactly with
-    ``xi_plugin(sample, kernel, empirical_map(sample.ys))``.
+    ``xi_plugin(sample, kernel, empirical_map(sample.ys))``. For power:1 and
+    power:2, with G = sum |R_[i+1] - R_[i]|^gamma and
+    P = sum_{i,j} |R_i - R_j|^gamma (``_pair_power_sum``), zeta = G / n^(gamma+1),
+    chi = P / n^(gamma+2) and xi = (P - n G) / P (1 when P = 0) are each an
+    integer ratio rounded once; power:1 is Chatterjee's coefficient, bit for bit.
     """
     return _rank_based(sample, "rank", kernel, tie_seed)
 
@@ -467,30 +557,20 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     return _rank_based(sample, "simplified", kernel, tie_seed)
 
 
-def _tie_spread(max_ranks: np.ndarray) -> int:
-    """Exact ``sum_i l_i (n - l_i)``, l_i = #{j : y_j >= y_i}, from ascending max-ranks.
-
-    A tied block of c values after the p smallest has l = n - p, so it adds c (n - p) p.
-    """
-    n = max_ranks.size
-    p = max_ranks[:-1][max_ranks[:-1] != max_ranks[1:]]  # of every block but the first
-    if 4 * n**3 > 27 * _INT64_MAX:  # c (n - p) p <= 4 n^3 / 27 passes int64 past n ~ 3.9e6
-        p = p.astype(object)
-    return sum((np.diff(p, append=n) * (n - p) * p).tolist())  # passes int64 past n ~ 3.3e6
-
-
 def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> CoefficientResult:
-    """Chatterjee's (2021) rank correlation.
+    """Chatterjee's (2021) rank correlation: ``xi_rank`` with power:1.
 
     With max-ranks R_i = #{j : y_j <= y_i} in x-order and
     l_i = #{j : y_j >= y_i},
 
         xi = 1 - n * sum|R_[i+1] - R_[i]| / (2 * sum_i l_i (n - l_i)),
 
-    which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). Both
-    are one ratio of integers, rounded once; a constant y leaves it
-    undefined and raises ``DegenerateDataError``. Tied x's are rejected too
-    (use ``xi_rank`` there, which handles ties by construction).
+    which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). As
+    2 * sum_i l_i (n - l_i) = sum_{i,j} |R_i - R_j|, xi is rank power:1's
+    exactly rounded ratio; zeta is the raw gap sum and the normalization
+    2 * sum_i l_i (n - l_i) / n. A constant y leaves xi undefined and raises
+    ``DegenerateDataError``. Tied x's are rejected too (use ``xi_rank``
+    there, which handles ties by construction).
     """
     return _rank_based(sample, "chatterjee", None, tie_seed)
 

@@ -34,7 +34,9 @@ triangle, O(n^2) work in O(n) memory.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -437,9 +439,18 @@ def normalization_constant(kernel: Kernel, quadrature_tol: float = 1e-8) -> floa
     """Unit-square integral C_h of a kernel.
 
     Returns the closed form when the kernel carries one, otherwise computes
-    it numerically to ``quadrature_tol``. Positive for every non-constant
-    builtin kernel.
+    it numerically to ``quadrature_tol`` once per kernel ``eval`` and
+    tolerance: the last 64 results are kept, a failure is not. Positive for
+    every non-constant builtin kernel.
     """
     if kernel.closed_form_ch is not None:
         return kernel.closed_form_ch
-    return integrate_unit_square(kernel.eval, quadrature_tol)
+    if not isinstance(kernel.eval, Hashable):  # a callable object that defines __eq__ alone
+        return integrate_unit_square(kernel.eval, quadrature_tol)
+    return _integrated(kernel.eval, quadrature_tol)
+
+
+@functools.lru_cache(maxsize=64)
+def _integrated(fn: Callable, tol: float) -> float:
+    """``integrate_unit_square(fn, tol)``, looked up by name on every miss."""
+    return integrate_unit_square(fn, tol)

@@ -218,7 +218,9 @@ def _replicate_cell(spec, methods, reps, base_seed, keep_per_rep, dump=None) -> 
             try:
                 values[k, i] = method.evaluate(sample, tie_seed=seed)
             except XiFamilyError as exc:
-                raise exc.__class__(f"repetition {i} (seed {seed}): {exc}") from exc
+                error = exc.__class__(f"repetition {i} (seed {seed}): {exc}")
+                error.__dict__.update(exc.__dict__)  # QuadratureError's last_estimate
+                raise error from exc
     return [
         RepSummary(
             mean=float(np.mean(row)),

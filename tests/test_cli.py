@@ -347,6 +347,14 @@ def test_compute_degenerate_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("xs", [[1.0, 2.0, 3.0], [1.0, 1.0, 3.0]], ids=["distinct-x", "tied-x"])
+def test_negative_seed_exits_2_whatever_the_file(tmp_path, capsys, xs):
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], [xs, [0.5, 0.1, 0.9]])
+    code = main(["compute", "--file", path, "--x-col", "x", "--y-col", "y", "--seed", "-1"])
+    assert code == 2
+    assert "tie_seed must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["compute"]) == 2
 

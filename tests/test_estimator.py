@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xifamily import _sorting, estimator
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError
+from xifamily.inference import independence_test
 from xifamily.estimator import (
     PairedSample,
     _exact_gap_power,
@@ -419,11 +420,97 @@ def test_chatterjee_tied_y_is_rounded_once():
 
 
 def test_tie_spread_stays_exact_past_int64():
-    # two blocks, the second after p = n/3 values: its c (n - p) p = 4n^3/27 passes 2^63
+    # two blocks, the second after p = n/3 values: its c (n - p) p = 4n^3/27 passes 2^63;
+    # the pair sum P_1 is twice the tie spread
     n = 4_000_000
     p = n // 3
     max_ranks = np.repeat([p, n], [p, n - p])
-    assert estimator._tie_spread(max_ranks) == (n - p) ** 2 * p > 2**63
+    assert estimator._pair_power_sum(max_ranks, n, 1) == 2 * (n - p) ** 2 * p > 2**63
+
+
+def test_pair_power_sum_squares_stay_exact_past_int64():
+    # the tie-spread data: sum R^2 = p^3 + (n - p) n^2 passes 2^63; P_2 = 2 p (n - p) (n - p)^2
+    n = 4_000_000
+    p = n // 3
+    max_ranks = np.repeat([p, n], [p, n - p])
+    assert estimator._pair_power_sum(max_ranks, n, 2) == 2 * p * (n - p) ** 3
+
+
+@pytest.mark.parametrize("n", [3, 50, 1000, 5000])
+@pytest.mark.parametrize("shape", ["distinct", "5-level", "binary"])
+def test_chatterjee_is_rank_power1(n, shape):
+    # one exact integer ratio, Chatterjee's tie denominator included; 5000
+    # takes the packed ranking
+    rng = np.random.default_rng([n, len(shape)])
+    xs = rng.normal(size=n)
+    ys = {
+        "distinct": rng.normal(size=n),
+        "5-level": rng.integers(0, 5, n).astype(float),
+        "binary": (np.arange(n) % 2).astype(float)[rng.permutation(n)],
+    }[shape]
+    s = sample(xs, ys)
+    assert chatterjee_reference(s).xi == xi_rank(s, POWER1).xi
+    for continuous in (False, True):
+        via_chatterjee = independence_test(s, POWER1, "chatterjee", continuous_y=continuous)
+        via_rank = independence_test(s, POWER1, "rank", continuous_y=continuous)
+        assert (via_chatterjee.z, via_chatterjee.p_one_sided, via_chatterjee.p_two_sided) == (
+            via_rank.z,
+            via_rank.p_one_sided,
+            via_rank.p_two_sided,
+        )
+
+
+def _fraction_rank_form(s, gamma, tie_seed):
+    """(xi, zeta, chi) of u = R/n, h = |u - v|^gamma, in exact rationals."""
+    n = s.n
+    u = [Fraction(int((s.ys <= y).sum()), n) for y in s.ys]
+    ordered = [u[i] for i in order_by_x(s, tie_seed)]
+    zeta = sum(abs(b - a) ** gamma for a, b in zip(ordered, ordered[1:])) / n
+    chi = sum(abs(a - b) ** gamma for a in u for b in u) / n**2
+    return (1 if chi == 0 else 1 - zeta / chi), zeta, chi
+
+
+@pytest.mark.parametrize("gamma", [1, 2])
+def test_rank_power_1_2_are_exactly_rounded(gamma):
+    rng = np.random.default_rng(23 + gamma)
+    kernel = make_kernel("power", gamma=float(gamma))
+    for n in range(2, 9):
+        y_shapes = [
+            rng.normal(size=n),
+            rng.integers(0, 3, n).astype(float),
+            rng.integers(0, 2, n).astype(float),
+            np.full(n, 1.5),
+        ]
+        x_shapes = [rng.normal(size=n), rng.integers(0, 2, n).astype(float)]
+        for ys in y_shapes:
+            for xs in x_shapes:
+                s = sample(xs, ys)
+                for tie_seed in (0, 5):
+                    want = tuple(float(v) for v in _fraction_rank_form(s, gamma, tie_seed))
+                    got = xi_rank(s, kernel, tie_seed)
+                    assert (got.xi, got.zeta, got.normalization) == want
+                    plugin = xi_plugin(s, kernel, empirical_map(s.ys), tie_seed)
+                    assert (plugin.xi, plugin.zeta, plugin.normalization) == want
+
+
+def test_plugin_on_the_lattice_takes_ranks_from_zero():
+    # u = y / n with y in 0..n lies on the lattice, 0 included
+    rng = np.random.default_rng(29)
+    n = 8
+    for ys in (rng.integers(0, n + 1, n), np.arange(n), rng.permutation(n + 1)[:n]):
+        s = sample(rng.normal(size=n), ys)
+        u = [Fraction(int(y), n) for y in s.ys]
+        ordered = [u[i] for i in order_by_x(s)]
+        for gamma in (1, 2):
+            zeta = sum(abs(b - a) ** gamma for a, b in zip(ordered, ordered[1:])) / n
+            chi = sum(abs(a - b) ** gamma for a in u for b in u) / n**2
+            kernel = make_kernel("power", gamma=float(gamma))
+            got = xi_plugin(s, kernel, uniform_map(0.0, float(n)))
+            assert (got.xi, got.zeta, got.normalization) == (
+                float(1 - zeta / chi),
+                float(zeta),
+                float(chi),
+            )
 
 
 def test_chatterjee_binary_y_near_zero_under_independence():
@@ -464,6 +551,33 @@ def test_chatterjee_near_zero_under_independence():
         s = sample(rng.normal(size=2000), rng.normal(size=2000))
         values.append(chatterjee_reference(s).xi)
     assert abs(np.mean(values)) < 0.01
+
+
+@pytest.mark.parametrize("tie_seed", [-1, 1.5, 2.0, "3", None])
+@pytest.mark.parametrize("x_tied", [False, True])
+def test_bad_tie_seed_is_refused_whatever_the_x(tie_seed, x_tied):
+    # before the data show whether tied x read the seed; 5000 takes the packed ranking
+    for n in (6, 5000):
+        xs = np.arange(n) // 2 if x_tied else np.arange(n)
+        s = sample(xs, np.random.default_rng(n).normal(size=n))
+        calls = [
+            lambda: order_by_x(s, tie_seed),
+            lambda: xi_rank(s, POWER1, tie_seed),
+            lambda: xi_simplified(s, POWER1, tie_seed),
+            lambda: xi_plugin(s, POWER1, std_normal_map(), tie_seed),
+            lambda: chatterjee_reference(s, tie_seed),
+            lambda: independence_test(s, POWER1, "rank", tie_seed=tie_seed),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tie_seed must be a non-negative integer"):
+                call()
+
+
+def test_numpy_integer_tie_seeds_are_accepted():
+    s = sample([0.0, 0.0, 1.0, 1.0], [0.3, 0.1, 0.4, 0.2])
+    for tie_seed in (np.int64(7), np.uint32(7)):
+        assert np.array_equal(order_by_x(s, tie_seed), order_by_x(s, int(tie_seed)))
+    assert xi_rank(s, POWER1, np.int64(7)) == xi_rank(s, POWER1, 7)
 
 
 # --------------------------------------------------------------- baselines

@@ -264,8 +264,8 @@ def _counted_row_sums(monkeypatch):
         ("plugin", "expsq", "std-normal", False, [(500, True)]),
         ("plugin", "power:1", "std-normal", True, [(500, True)]),
         ("simplified", "power:0.5", None, False, [(500, True)]),
-        # the closed form needs no moments, so chi takes S alone
-        ("rank", "power:1", None, True, [(500, False)]),
+        # the closed form needs no moments, and power:1's chi is an integer pair sum
+        ("rank", "power:1", None, True, []),
         ("simplified", "power:1", None, True, []),
         # Chatterjee takes no chi, so the closed form sums nothing
         ("chatterjee", "power:1", None, True, []),

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from xifamily import kernels
 from xifamily.errors import QuadratureError
+from xifamily.estimator import PairedSample, xi_simplified
+from xifamily.inference import independence_test
 from xifamily.kernels import (
     custom_kernel,
     integrate_unit_square,
@@ -131,6 +135,47 @@ def test_quadrature_failure_carries_last_estimate():
 def test_custom_kernel_accepts_valid():
     k = custom_kernel("absdiff", lambda y, z: np.abs(y - z))
     assert k.eval(0.25, 0.75) == pytest.approx(0.5)
+    assert normalization_constant(k, 1e-8) == pytest.approx(1.0 / 3.0, abs=1e-7)
+
+
+def test_custom_kernel_integrates_its_normalization_once(monkeypatch):
+    # three coefficients and one test on one kernel; closed forms never integrate
+    calls = []
+
+    def counted(fn, tol, *args, **kwargs):
+        calls.append(tol)
+        return integrate_unit_square(fn, tol, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate_unit_square", counted)
+    k = custom_kernel("smooth", lambda y, z: np.square(y - z) * (1.0 + y * z))
+    rng = np.random.default_rng(4)
+    s = PairedSample(xs=rng.normal(size=200), ys=rng.normal(size=200))
+    first = xi_simplified(s, k).xi
+    assert [xi_simplified(s, k).xi for _ in range(2)] == [first, first]
+    independence_test(s, k, "simplified")
+    independence_test(s, make_kernel("power", gamma=0.5), "simplified")
+    assert calls == [1e-8]
+
+
+def test_failed_quadrature_is_not_kept(monkeypatch):
+    cusp = custom_kernel("cusp", lambda u, v: np.abs(u - v) ** 0.02)
+    with pytest.raises(QuadratureError):
+        normalization_constant(cusp)
+    calls = []
+    monkeypatch.setattr(kernels, "integrate_unit_square", lambda fn, tol: calls.append(tol) or 0.5)
+    assert normalization_constant(cusp) == 0.5
+    assert calls == [1e-8]
+
+
+def test_unhashable_custom_kernel_still_integrates():
+    @dataclasses.dataclass
+    class Gap:  # eq without frozen leaves instances unhashable
+        power: float
+
+        def __call__(self, y, z):
+            return np.abs(y - z) ** self.power
+
+    k = custom_kernel("gap", Gap(1.0))
     assert normalization_constant(k, 1e-8) == pytest.approx(1.0 / 3.0, abs=1e-7)
 
 

@@ -23,6 +23,7 @@ every single row.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -438,7 +439,9 @@ def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
     xi = 1.0 - gap_sum / n**2 / kernel.closed_form_ch
     assert result.z == math.sqrt(n) * xi / math.sqrt(sigma2)
 
-    # U-statistic variance: chi, m, q and r are sums of 1e5 row sums
+    # U-statistic variance: m, q and r are sums of 1e5 row sums; the rank
+    # xi is the exact ratio 1 - n * gap_sum / P with P = sum_{i,j} |R_i - R_j|,
+    # n (n^2 - 1) / 3 for distinct y, rounded once
     result = independence_test(sample, kernel, "rank")
     sums, squares = kernel_row_sums(u, kernel, squares=True)
     pairs = n * (n - 1)
@@ -448,5 +451,7 @@ def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
     assert result.sigma2_used.components == (m, q, r)
     sigma2 = (q - 2.0 * r + m * m) / (m * m)
     assert result.sigma2_used.sigma2 == sigma2
-    xi = 1.0 - zeta / (math_fsum(sums) / (n * n))
+    pair_sum = n * (n * n - 1) // 3
+    xi = float(Fraction(pair_sum - n * gap_sum, pair_sum))
+    assert abs(xi - (1.0 - zeta / (math_fsum(sums) / (n * n)))) < 1e-12
     assert result.z == math.sqrt(n) * xi / math.sqrt(sigma2)

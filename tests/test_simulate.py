@@ -3,9 +3,9 @@ import pytest
 
 from xifamily import simulate
 from xifamily.cdf import std_normal_map
-from xifamily.errors import DegenerateDataError
+from xifamily.errors import DegenerateDataError, QuadratureError
 from xifamily.estimator import pearson
-from xifamily.kernels import make_kernel
+from xifamily.kernels import custom_kernel, make_kernel
 from xifamily.simulate import (
     SIGMA_INF,
     MethodConfig,
@@ -124,6 +124,17 @@ def test_replicate_attaches_rep_index_on_failure():
         replicate(degenerate, ConstantYMethod(variant="chatterjee"), 3, 0)
     # sanity: the normal path still works
     assert np.isfinite(replicate(spec, method, 2, 0).mean)
+
+
+def test_replicate_keeps_the_quadrature_estimate_on_failure():
+    # |u - v|^0.02 is nearly a step: its C_h quadrature does not converge
+    cusp = custom_kernel("cusp", lambda u, v: np.abs(u - v) ** 0.02)
+    spec = ModelSpec(model="linear", sigma=0.1, n=20, seed=0)
+    with pytest.raises(QuadratureError, match="repetition 0") as wrapped:
+        replicate(spec, MethodConfig(variant="simplified", kernel=cusp), 2, 0)
+    cause = wrapped.value.__cause__
+    assert isinstance(cause, QuadratureError)
+    assert wrapped.value.last_estimate == cause.last_estimate is not None
 
 
 #: the eight methods of a Table 2 cell in the benchmark's ``table`` workload
