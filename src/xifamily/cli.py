@@ -221,6 +221,9 @@ def cmd_rank(args) -> int:
         try:
             value = coefficient(sample, args.variant, kernel, _dist(args, sample), args.seed).xi
         except DegenerateDataError:
+            if args.variant == "chatterjee":
+                # constant y are set aside above: the refusal is of tied x, for every series
+                raise
             degenerate.append(name)
             continue
         scored.append((name, value))

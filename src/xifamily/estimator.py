@@ -21,37 +21,41 @@ member by its name in ``VARIANTS``; the CLI and the simulation harness go
 through it, and the independence test shares its argument check.
 
 All operations are pure functions of (sample, seed). Every sort orders
-by value as argsort does wherever the values are distinct. The rank
+by value as argsort does wherever the values are distinct. One private
+function, ``_coefficient``, computes every variant and the independence
+test's totals. It has two input stages and one tail. The rank-based
 variants read one thing from the data, the ranks of y in x-order
-(``_ranks_in_x_order``), which ``_rank_based`` turns into the rank,
-simplified or Chatterjee result. From ``_sorting._PACKED_SORT_MIN`` values
-on, distinct x and y give them by two in-place sorts of packed int64 keys, y's
+(``_ranks_in_x_order``). From ``_sorting._PACKED_SORT_MIN`` values on,
+distinct x and y give them by two in-place sorts of packed int64 keys, y's
 indices by y and then y's ranks by x, with no gather. Below that, and on
 tied x or y, x is sorted once for its order (``_sorting.sort_order``) and y
 once for its max-ranks (``_ranked``), which every rank-based output reads:
 the rank variants, ``y_tied``, Chatterjee's tie denominator and Spearman's
-mid-ranks; the plugin sorts F(y) once. chi is built from the off-diagonal
-row sums of the mapped values in ascending order (``kernels._sorted_row_sums``, exact
-O(n log n) identities for the builtin kernels); the same pass can add the
-three totals of the test's moments (``_pair_mean``). zeta's kernel values and
-chi's row sums are added with ``_fsum``, an exactly rounded sum in numpy that
-returns math.fsum's value bit for bit, so chi is deterministic, independent
-of the order of the sample, and within 1e-12 relative of the exactly rounded
-sum of all n^2 kernel values (the tolerance the tests check against a
-row-loop oracle). The simplified variant with power:1, power:2 or power:3
-needs no kernel values at all: its zeta is an integer sum of rank-gap
-powers over n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``)
-and rounded once. So does the rank variant with power:1 or power:2
-(Chatterjee's coefficient is its power:1 case), whose chi is the integer
-pair sum of ``_pair_power_sum``, and the plugin variant with them where F(y)
-lies on the lattice 0, 1/n, ..., 1, as the empirical CDF always does.
+mid-ranks. The plugin orders x, evaluates F once and sorts F(y) once.
+
+The tail builds chi from the off-diagonal row sums of the mapped values in
+ascending order (``kernels._sorted_row_sums``, exact O(n log n) identities
+for the builtin kernels); the same pass can add the three totals of the
+test's moments (``_pair_mean``). zeta's kernel values and chi's row sums
+are added with ``_fsum``, an exactly rounded sum in numpy that returns
+math.fsum's value bit for bit, so chi is deterministic, independent of the
+order of the sample, and within 1e-12 relative of the exactly rounded sum
+of all n^2 kernel values (the tolerance the tests check against a row-loop
+oracle). The simplified variant with power:1, power:2 or power:3 needs no
+kernel values at all: its zeta is an integer sum of rank-gap powers over
+n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``) and rounded
+once. So does the rank variant with power:1 or power:2 (Chatterjee's
+coefficient is its power:1 case), whose chi is the integer pair sum of
+``_pair_power_sum``, and the plugin variant with them where F(y) lies on
+the lattice 0, 1/n, ..., 1, as the empirical CDF always does: there the
+plugin stage hands the tail the integers R = n F(y).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -121,10 +125,7 @@ class CoefficientResult:
 
     ``y_tied`` tells whether two y's are equal. The rank-based variants
     read it off the max-ranks they compute anyway; it is None for the
-    plugin variant, which never ranks y. The private ``_totals`` holds the
-    three row-sum totals of the test's moments (``_pair_mean``) over the
-    mapped values in ascending order (F(y), or R/n for the rank-based
-    variants), when the test asks for them, and is None otherwise.
+    plugin variant, which never ranks y.
     """
 
     xi: float
@@ -134,7 +135,6 @@ class CoefficientResult:
     n: int
     tie_seed: int
     y_tied: bool | None = None
-    _totals: tuple[float, float, float] | None = field(default=None, repr=False, compare=False)
 
 
 def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
@@ -363,19 +363,6 @@ def _pair_power_sum(r_sorted: np.ndarray | None, n: int, gamma: int) -> int:
     return 2 * n * _int_sum(squares, n * n) - 2 * total * total
 
 
-def _lattice_ratio(gap_sum: int, pair_sum: int, n: int, gamma: int) -> tuple[float, float, float]:
-    """``(xi, zeta, chi)`` of u = R/n and h = |u - v|^gamma, each an integer
-    ratio rounded once, from the gap and pair sums of R (``xi_rank``)."""
-    xi = 1.0 if pair_sum == 0 else (pair_sum - n * gap_sum) / pair_sum
-    return xi, gap_sum / n ** (gamma + 1), pair_sum / n ** (gamma + 2)
-
-
-def _consecutive_mean(u_ordered: np.ndarray, kernel: Kernel) -> float:
-    """zeta: mean kernel value over consecutive entries, normalized by n."""
-    n = u_ordered.size
-    return _fsum(np.asarray(kernel.eval(u_ordered[:-1], u_ordered[1:]), dtype=float)) / n
-
-
 def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -> tuple:
     """For ascending v: chi, the mean kernel value over all n^2 ordered pairs
     (diagonal included), or None when ``chi`` is off; and, for ``squares``, the
@@ -395,24 +382,108 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -
     return total / (n * n), totals
 
 
-def _lattice_power(kernel: Kernel, v: np.ndarray) -> int | None:
-    """gamma when ``kernel`` is power:1 or power:2 and the ascending mapped
-    values ``v`` lie on the lattice 0, 1/n, ..., 1: R = rint(n v) with R/n == v
-    bit for bit, as the empirical map's values always do; else None."""
-    n = v.size
-    gamma = _exact_gap_power(kernel, n)
-    if gamma in (1, 2) and 0.0 <= v[0] and v[-1] <= 1.0:
-        return gamma if np.array_equal(np.rint(v * n) / n, v) else None
-    return None
+def _coefficient(
+    sample: PairedSample,
+    variant: str,
+    kernel: Kernel | None,
+    tie_seed: int,
+    dist: DistMap | None = None,
+    squares: Callable[[bool | None], bool] | None = None,
+) -> tuple[CoefficientResult, tuple[float, float, float] | None]:
+    """Every variant's result, and the test's totals (``_pair_mean``) or None.
+
+    Two input stages feed one tail. The plugin orders x (``order_by_x``),
+    maps y once by F and sorts F(y) once; where F(y) lies on the lattice
+    0, 1/n, ..., 1, it goes on with the integers R = rint(n F(y)). The other
+    variants rank y in x-order once (``_ranks_in_x_order``). The tail then
+    computes zeta, chi or C_h and xi: for Chatterjee, simplified power:1-3
+    and rank or lattice-plugin power:1-2, zeta is the integer rank-gap sum
+    and chi the integer pair sum (``_pair_power_sum``), each ratio rounded
+    once; otherwise kernel values and row sums are added in floats.
+
+    ``squares``, if given, is asked whether two y's are equal (None for the
+    plugin, which never ranks y) before any sum; its answer says whether to
+    add the totals over the ascending mapped values, in chi's own row-sum pass
+    where chi is summed in floats and in one pass of its own otherwise. The
+    test decides through ``squares`` rather than by ranking first itself, so
+    that no caller holds the integer ranks while the sums run.
+    """
+    n = sample.n
+    gamma = 1 if variant == "chatterjee" else _exact_gap_power(kernel, n)
+    if variant == "simplified":
+        c_h = normalization_constant(kernel)
+        if c_h <= 0.0:
+            raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
+    elif gamma == 3:
+        gamma = None  # chi of power:3 is added in floats
+    y_tied = v = r_sorted = None
+    if variant == "plugin":
+        permutation = order_by_x(sample, tie_seed)
+        u = np.asarray(dist.eval(sample.ys), dtype=float)
+        v = sort_order(u)[1]
+        # on the lattice 0, 1/n, ..., 1, as the empirical CDF always is, R/n == v bit for bit
+        lattice = gamma is not None and 0.0 <= v[0] and v[-1] <= 1.0
+        if lattice and np.array_equal(np.rint(v * n) / n, v):
+            ordered = np.rint(u[permutation] * n).astype(np.int64)
+            r_sorted = np.rint(v * n).astype(np.int64)
+        else:
+            gamma, ordered = None, u[permutation]
+        del permutation
+    else:
+        ordered, r_sorted, x_tied = _ranks_in_x_order(sample, tie_seed)
+        y_tied = r_sorted is not None
+        if variant == "chatterjee" and x_tied:
+            raise DegenerateDataError(
+                "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
+            )
+        if gamma is None:
+            ordered = ordered / n  # R/n: the integer ranks are freed before the kernel sum
+    if gamma is None:
+        zeta = _fsum(np.asarray(kernel.eval(ordered[:-1], ordered[1:]), dtype=float)) / n
+    else:
+        gap_sum = _rank_gap_power_sum(ordered, gamma)
+        zeta = gap_sum / n ** (gamma + 1)
+    del ordered  # freed before chi's or the totals' pass, as are the sorted ranks
+    if variant != "simplified" and gamma is not None:
+        pair_sum = _pair_power_sum(r_sorted, n, gamma)
+        if variant == "chatterjee" and pair_sum == 0:
+            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
+    take_totals = squares is not None and squares(y_tied)
+    sum_chi = variant != "simplified" and gamma is None
+    chi = totals = None
+    if sum_chi or take_totals:
+        if v is None:
+            v = (np.arange(1, n + 1) if r_sorted is None else r_sorted) / n
+        del r_sorted
+        chi, totals = _pair_mean(v, kernel, take_totals, chi=sum_chi)
+    if variant == "simplified":
+        normalization, xi = c_h, 1.0 - zeta / c_h
+    elif sum_chi:
+        normalization, xi = chi, 1.0 if chi == 0.0 else 1.0 - zeta / chi
+    else:
+        xi = 1.0 if pair_sum == 0 else (pair_sum - n * gap_sum) / pair_sum
+        normalization = pair_sum / n ** (gamma + 2)
+        if variant == "chatterjee":  # the raw sums, not the rounded ratios rescaled
+            zeta, normalization = float(gap_sum), pair_sum / n
+    if variant == "plugin" and normalization == 0.0 and sample.ys.min() != sample.ys.max():
+        raise DegenerateDataError(
+            f"F = {dist.kind}{dist.params or ''} sends every y to {float(u[0])!r}, though y "
+            "is not constant: chi = 0 and xi is undefined"
+        )
+    result = CoefficientResult(
+        xi=xi,
+        zeta=zeta,
+        normalization=normalization,
+        variant=variant,
+        n=n,
+        tie_seed=tie_seed,
+        y_tied=y_tied,
+    )
+    return result, totals
 
 
 def xi_plugin(
-    sample: PairedSample,
-    kernel: Kernel,
-    dist: DistMap,
-    tie_seed: int = 0,
-    *,
-    _squares: bool = False,
+    sample: PairedSample, kernel: Kernel, dist: DistMap, tie_seed: int = 0
 ) -> CoefficientResult:
     """Plugin coefficient with a prespecified monotone map F.
 
@@ -421,110 +492,12 @@ def xi_plugin(
     set to 1 when chi = 0 because y is constant. A map that sends every y of
     a nonconstant sample to one value (Phi beyond about 8.3, a uniform map
     outside its interval) raises ``DegenerateDataError`` instead of reading as
-    perfect dependence. ``_squares`` keeps the test's totals (``_pair_mean``).
-    With power:1 or power:2 and every F(y) on the lattice 0, 1/n, ..., 1, as
-    for the empirical CDF, zeta, chi and xi are ``xi_rank``'s integer ratios.
+    perfect dependence. With power:1 or power:2 and every F(y) on the lattice
+    0, 1/n, ..., 1, as for the empirical CDF, zeta, chi and xi are
+    ``xi_rank``'s integer ratios: F(y) = R/n enters the one tail
+    (``_coefficient``) that the rank variants share.
     """
-    n = sample.n
-    permutation = order_by_x(sample, tie_seed)
-    u = np.asarray(dist.eval(sample.ys), dtype=float)
-    v = sort_order(u)[1]
-    gamma = _lattice_power(kernel, v)
-    if gamma is None:
-        zeta = _consecutive_mean(u[permutation], kernel)
-        chi, totals = _pair_mean(v, kernel, _squares)
-        xi = 1.0 if chi == 0.0 else 1.0 - zeta / chi
-    else:
-        r_ordered = np.rint(u[permutation] * n).astype(np.int64)
-        pair_sum = _pair_power_sum(np.rint(v * n).astype(np.int64), n, gamma)
-        xi, zeta, chi = _lattice_ratio(_rank_gap_power_sum(r_ordered, gamma), pair_sum, n, gamma)
-        totals = _pair_mean(v, kernel, True, chi=False)[1] if _squares else None
-    if chi == 0.0 and sample.ys.min() != sample.ys.max():
-        raise DegenerateDataError(
-            f"F = {dist.kind}{dist.params or ''} sends every y to {float(u[0])!r}, though y "
-            "is not constant: chi = 0 and xi is undefined"
-        )
-    return CoefficientResult(
-        xi=xi,
-        zeta=zeta,
-        normalization=chi,
-        variant="plugin",
-        n=n,
-        tie_seed=tie_seed,
-        _totals=totals,
-    )
-
-
-def _rank_based(
-    sample: PairedSample,
-    variant: str,
-    kernel: Kernel | None,
-    tie_seed: int,
-    squares: Callable[[bool], bool] | None = None,
-) -> CoefficientResult:
-    """The rank, simplified or Chatterjee coefficient from one ranking of y in x-order.
-
-    ``_ranks_in_x_order`` ranks y once. ``squares``, if given, is then asked
-    whether two y's are equal, and its answer says whether the result also
-    holds the test's totals (``_pair_mean``) over the ascending R/n, which for
-    distinct y is the grid 1/n, ..., 1. The rank variant with a kernel other
-    than power:1 or power:2 adds them in chi's own row-sum pass, every other
-    result in one pass of its own. The test decides through ``squares``
-    rather than by ranking first itself, so that no caller holds the integer
-    ranks while the sums run.
-    """
-    n = sample.n
-    # zeta is an integer rank-gap sum for Chatterjee, simplified power:1-3
-    # and rank power:1-2, whose chi is an integer pair sum too
-    gamma = 1 if variant == "chatterjee" else _exact_gap_power(kernel, n)
-    if variant == "simplified":
-        c_h = normalization_constant(kernel)
-        if c_h <= 0.0:
-            raise NumericError(f"kernel {kernel.label()} has non-positive C_h = {c_h}")
-    elif gamma == 3:
-        gamma = None  # the rank variant adds power:3's pairs in floats
-    r_ordered, max_ranks, x_tied = _ranks_in_x_order(sample, tie_seed)
-    if variant == "chatterjee" and x_tied:
-        raise DegenerateDataError(
-            "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
-        )
-    if gamma is None:
-        r_ordered = r_ordered / n  # R/n: the integer ranks are freed before the kernel sum
-        zeta = _consecutive_mean(r_ordered, kernel)
-    else:
-        gap_sum = _rank_gap_power_sum(r_ordered, gamma)
-        zeta = gap_sum / n ** (gamma + 1)
-    del r_ordered  # freed before chi's or the totals' pass, as is max_ranks
-    if variant != "simplified" and gamma is not None:
-        pair_sum = _pair_power_sum(max_ranks, n, gamma)
-        if variant == "chatterjee" and pair_sum == 0:
-            raise DegenerateDataError("constant Y: Chatterjee's xi is undefined")
-    y_tied = max_ranks is not None
-    take_totals = squares is not None and squares(y_tied)
-    sum_chi = variant == "rank" and gamma is None
-    chi = totals = None
-    if sum_chi or take_totals:
-        u_sorted = (np.arange(1, n + 1) if max_ranks is None else max_ranks) / n
-        del max_ranks
-        chi, totals = _pair_mean(u_sorted, kernel, take_totals, chi=sum_chi)
-    if variant == "simplified":
-        normalization, xi = c_h, 1.0 - zeta / c_h
-    elif sum_chi:
-        normalization, xi = chi, 1.0 if chi == 0.0 else 1.0 - zeta / chi
-    else:
-        xi, zeta, normalization = _lattice_ratio(gap_sum, pair_sum, n, gamma)
-        if variant == "chatterjee":  # the raw sums, not the rounded ratios rescaled
-            zeta, normalization = float(gap_sum), pair_sum / n
-    return CoefficientResult(
-        xi=xi,
-        zeta=zeta,
-        normalization=normalization,
-        variant=variant,
-        n=n,
-        tie_seed=tie_seed,
-        y_tied=y_tied,
-        _totals=totals,
-    )
+    return _coefficient(sample, "plugin", kernel, tie_seed, dist)[0]
 
 
 def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -537,7 +510,7 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     chi = P / n^(gamma+2) and xi = (P - n G) / P (1 when P = 0) are each an
     integer ratio rounded once; power:1 is Chatterjee's coefficient, bit for bit.
     """
-    return _rank_based(sample, "rank", kernel, tie_seed)
+    return _coefficient(sample, "rank", kernel, tie_seed)[0]
 
 
 def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> CoefficientResult:
@@ -554,7 +527,7 @@ def xi_simplified(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Co
     ``_fsum``. C_h is computed once, before y is ranked; the independence
     test refuses tied y (``y_tied``).
     """
-    return _rank_based(sample, "simplified", kernel, tie_seed)
+    return _coefficient(sample, "simplified", kernel, tie_seed)[0]
 
 
 def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> CoefficientResult:
@@ -572,7 +545,7 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     ``DegenerateDataError``. Tied x's are rejected too (use ``xi_rank``
     there, which handles ties by construction).
     """
-    return _rank_based(sample, "chatterjee", None, tie_seed)
+    return _coefficient(sample, "chatterjee", None, tie_seed)[0]
 
 
 def _check_arguments(variant: str, kernel: Kernel | None, dist: DistMap | None) -> None:

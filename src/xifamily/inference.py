@@ -20,11 +20,14 @@ kernels):
     S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
 
 read through three exactly rounded totals, sum S, sum Q and sum (S^2 - Q)
-(``estimator._pair_mean``), that the coefficient's result hands over
-(``CoefficientResult._totals``). A rank-based test ranks y first and asks
-for them only where the U-statistic serves, so every test takes at most one
-row-sum pass, y is neither mapped nor sorted again, and ``_totals`` is None
-exactly where the closed form applies.
+(``estimator._pair_mean``). The test makes one call for every variant to
+the coefficient's core (``estimator._coefficient``), which returns the
+result and these totals. Before any sum, the core asks the test whether
+the U-statistic serves: a rank-based variant tells it, after ranking y,
+whether two y's are equal; the plugin, which never ranks y, tells it None.
+The totals are added only when it does. So every test takes at most one
+row-sum pass, y is neither mapped nor sorted again, and the totals are
+None exactly where the closed form applies.
 
 The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
 p-value as the default decision output (large xi indicates dependence).
@@ -41,7 +44,7 @@ import numpy as np
 
 from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
-from .estimator import PairedSample, _check_arguments, _pair_mean, _rank_based, xi_plugin
+from .estimator import PairedSample, _check_arguments, _coefficient, _pair_mean
 from .kernels import Kernel, make_kernel
 
 if TYPE_CHECKING:
@@ -121,10 +124,10 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
     sorted F(y) and added across rows with exactly rounded summation
     (``estimator._pair_mean``).
     """
-    ys = np.asarray(ys, dtype=float)
-    n = ys.size
+    n = np.asarray(ys, dtype=float).size
     if n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance estimation, got {n}")
+    ys = PairedSample(xs=ys, ys=ys).ys  # refused as a sample's y is: 2-D, NaN or inf
     _, v = sort_order(np.asarray(dist.eval(ys), dtype=float))
     source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
     return _sigma2(n, _pair_mean(v, kernel, True, chi=False)[1], source)
@@ -140,7 +143,7 @@ def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> Variance
     if m == 0.0:
         raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sigma2 = (q - 2.0 * r + m * m) / (m * m)
-    if sigma2 <= 0.0:
+    if not sigma2 > 0.0:  # NaN too, from totals that overflowed
         raise NumericError(
             f"variance estimate {sigma2} is not positive (m={m}, q={q}, r={r}); "
             "numerical failure or pathological sample"
@@ -171,31 +174,27 @@ def independence_test(
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
     _check_arguments(variant, kernel, dist)
-    if variant == "plugin":
-        result = xi_plugin(sample, kernel, dist, tie_seed, _squares=True)
-    else:
-        if variant == "chatterjee":
-            kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
-        power = continuous_y and kernel.name == "power"
+    if variant == "chatterjee":
+        kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
+    power = continuous_y and kernel.name == "power" and variant != "plugin"
 
-        def ustat_serves(y_tied: bool) -> bool:  # the simplified test refuses tied y below
-            return (y_tied or not power) and not (y_tied and variant == "simplified")
+    def ustat_serves(y_tied: bool | None) -> bool:  # the simplified test refuses tied y below
+        return (y_tied or not power) and not (y_tied and variant == "simplified")
 
-        result = _rank_based(sample, variant, kernel, tie_seed, ustat_serves)
-        if variant == "simplified" and result.y_tied:
-            raise DegenerateDataError(
-                "tied y: the simplified test's C_h normalization assumes continuous y; "
-                "use the rank variant"
-            )
-
-    if result._totals is None:  # a power kernel on untied y declared continuous
+    result, totals = _coefficient(sample, variant, kernel, tie_seed, dist, ustat_serves)
+    if variant == "simplified" and result.y_tied:
+        raise DegenerateDataError(
+            "tied y: the simplified test's C_h normalization assumes continuous y; "
+            "use the rank variant"
+        )
+    if totals is None:  # a power kernel on untied y declared continuous
         variance = VarianceEstimate(
             sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
             source="closed_form_power",
         )
     else:
         plugin = variant == "plugin" and dist.kind != "empirical"
-        variance = _sigma2(sample.n, result._totals, "ustat_plugin" if plugin else "ustat_rank")
+        variance = _sigma2(sample.n, totals, "ustat_plugin" if plugin else "ustat_rank")
 
     z = math.sqrt(sample.n) * result.xi / math.sqrt(variance.sigma2)
     return TestResult(

@@ -451,6 +451,22 @@ def test_rank_chatterjee_constant_series_gets_nan_row(tmp_path, capsys):
     check_flat_series_gets_nan_row(tmp_path, capsys, ["--variant", "chatterjee"])
 
 
+def test_rank_chatterjee_refuses_tied_x_as_compute_does(tmp_path, capsys):
+    # the refusal concerns x, shared by every series, so no series gets a row
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, 5, 30).astype(float)
+    columns = [x, rng.random(30), np.full(30, 2.0)]
+    path = write_csv(tmp_path / "tied.csv", ["x", "a", "flat"], columns)
+    assert main(["compute", "--file", path, "--x-col", "x", "--y-col", "a",
+                 "--variant", "chatterjee"]) == 3
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: tied X values: ")
+    assert main(["rank", "--file", path, "--x-col", "x", "--variant", "chatterjee"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "method",
     [["--variant", "rank"], ["--variant", "simplified"], ["--variant", "plugin", "--f", "std-normal"]],

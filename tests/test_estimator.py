@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xifamily import _sorting, estimator
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
-from xifamily.errors import DegenerateDataError
+from xifamily.errors import DegenerateDataError, XiFamilyError
 from xifamily.inference import independence_test
 from xifamily.estimator import (
     PairedSample,
@@ -29,7 +29,10 @@ from xifamily.kernels import Kernel, custom_kernel, make_kernel
 
 POWER1 = make_kernel("power", gamma=1.0)
 POWER2 = make_kernel("power", gamma=2.0)
+POWER3 = make_kernel("power", gamma=3.0)
+POWER_HALF = make_kernel("power", gamma=0.5)
 EXP1 = make_kernel("exp", beta=1.0)
+EXPSQ = make_kernel("expsq")
 
 
 def sample(xs, ys):
@@ -199,12 +202,26 @@ def test_rank_constant_y_is_one():
 def test_rank_equals_plugin_with_empirical_cdf(ys, tie_seed):
     xs = np.arange(len(ys), dtype=float)
     s = sample(xs, ys)
-    for kernel in (POWER1, POWER2, EXP1):
+    for kernel in (POWER1, POWER2, POWER_HALF, POWER3, EXP1, EXPSQ):
         via_rank = xi_rank(s, kernel, tie_seed)
         via_plugin = xi_plugin(s, kernel, empirical_map(s.ys), tie_seed)
         assert via_rank.xi == via_plugin.xi
         assert via_rank.zeta == via_plugin.zeta
         assert via_rank.normalization == via_plugin.normalization
+        if s.n >= 3:  # and so do the test's z and sigma^2, or its refusal
+            tests = [
+                _test_or_refusal(lambda: independence_test(s, kernel, variant, dist, tie_seed))
+                for variant, dist in [("rank", None), ("plugin", empirical_map(s.ys))]
+            ]
+            assert tests[0] == tests[1]
+
+
+def _test_or_refusal(call):
+    try:
+        result = call()
+    except XiFamilyError as exc:
+        return type(exc).__name__, str(exc)
+    return result.z, result.sigma2_used
 
 
 def test_rank_equals_plugin_on_heavily_tied_data():

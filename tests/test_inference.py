@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from xifamily import estimator
+from xifamily import estimator, inference
 from xifamily.cdf import empirical_map, std_normal_map, uniform_map
-from xifamily.errors import DegenerateDataError
+from xifamily.errors import DegenerateDataError, NumericError
 from xifamily.estimator import (
     VARIANTS,
     PairedSample,
@@ -83,6 +83,30 @@ def test_ustat_three_point_hand_case():
     assert r == pytest.approx(4.0 / 15.0, abs=1e-15)
     assert est.sigma2 == pytest.approx(0.25, abs=1e-14)
     assert est.source == "ustat_plugin"
+
+
+@pytest.mark.parametrize(
+    "ys, message",
+    [
+        ([0.3, float("nan"), 1.2, -0.5], "xs and ys must be finite"),
+        ([0.3, float("inf"), 1.2, -0.5], "xs and ys must be finite"),
+        ([0.3, -float("inf"), 1.2, -0.5], "xs and ys must be finite"),
+        ([[0.3, 0.7], [1.2, -0.5]], "xs and ys must be one-dimensional"),
+    ],
+    ids=["nan", "inf", "-inf", "2-D"],
+)
+def test_sigma2_ustat_refuses_what_a_sample_refuses(ys, message):
+    with pytest.raises(ValueError, match=message) as refused:
+        sigma2_ustat(ys, POWER1, std_normal_map())
+    with pytest.raises(ValueError) as by_sample:
+        PairedSample(xs=np.zeros_like(ys), ys=ys)
+    assert str(refused.value) == str(by_sample.value)
+
+
+def test_nan_variance_is_refused():
+    # totals that overflowed to inf give q - 2r = inf - inf
+    with pytest.raises(NumericError, match="variance estimate nan is not positive"):
+        inference._sigma2(10, (1.0, math.inf, math.inf), "ustat_plugin")
 
 
 def test_ustat_sigma2_consistent_with_components():
@@ -384,17 +408,17 @@ def test_row_sums_with_squares_keep_chi(spec, variant, ys_kind):
     if variant == "plugin":
         dist = std_normal_map()
         plain = xi_plugin(s, kernel, dist, 5)
-        kept = xi_plugin(s, kernel, dist, 5, _squares=True)
         u = np.sort(dist.eval(ys))
     else:
+        dist = None
         plain = xi_rank(s, kernel, 5)
-        kept = estimator._rank_based(s, "rank", kernel, 5, squares=lambda y_tied: True)
         u = np.sort(ranks(ys)) / 300  # the grid 1/n, ..., 1 for distinct y
-    assert plain._totals is None
+    assert estimator._coefficient(s, variant, kernel, 5, dist)[1] is None
+    kept, totals = estimator._coefficient(s, variant, kernel, 5, dist, squares=lambda y_tied: True)
     assert (kept.xi, kept.zeta, kept.normalization) == (plain.xi, plain.zeta, plain.normalization)
     row_sums, row_sq_sums = _sorted_row_sums(u, kernel, squares=True)
     expected = (row_sums, row_sq_sums, row_sums**2 - row_sq_sums)
-    assert kept._totals == tuple(math.fsum(sums.tolist()) for sums in expected)
+    assert totals == tuple(math.fsum(sums.tolist()) for sums in expected)
 
 
 def _y_with(duplicate, n):
