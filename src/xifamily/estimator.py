@@ -37,17 +37,20 @@ The tail builds chi from the off-diagonal row sums of the mapped values in
 ascending order (``kernels._sorted_row_sums``, exact O(n log n) identities
 for the builtin kernels); the same pass can add the three totals of the
 test's moments (``_pair_mean``). zeta's kernel values and chi's row sums
-are added with ``_fsum``, an exactly rounded sum in numpy that returns
-math.fsum's value bit for bit, so chi is deterministic, independent of the
-order of the sample, and within 1e-12 relative of the exactly rounded sum
-of all n^2 kernel values (the tolerance the tests check against a row-loop
-oracle). The simplified variant with power:1, power:2 or power:3 needs no
-kernel values at all: its zeta is an integer sum of rank-gap powers over
-n^(gamma+1), added exactly in int64 (``_rank_gap_power_sum``) and rounded
-once. So does the rank variant with power:1 or power:2 (Chatterjee's
-coefficient is its power:1 case), whose chi is the integer pair sum of
-``_pair_power_sum``, and the plugin variant with them where F(y) lies on
-the lattice 0, 1/n, ..., 1, as the empirical CDF always does: there the
+are added with ``_fsum``, math.fsum's exactly rounded sum bit for bit, which
+from ``_EXTRACT_MIN`` values on splits them error-free into a few exact level
+sums in numpy (Rump, Ogita and Oishi 2008). So chi is deterministic,
+independent of the order of the sample, and within 1e-12 relative of the
+exactly rounded sum of all n^2 kernel values (the tolerance the tests check
+against a row-loop oracle). A kernel that is 0 between every two mapped
+values that differ is refused, as a map that merges every y is. The
+simplified variant with power:1, power:2 or power:3 needs no kernel values
+at all: its zeta is an integer sum of rank-gap powers over n^(gamma+1),
+added exactly in int64 (``_rank_gap_power_sum``) and rounded once. So does
+the rank variant with power:1 or power:2 (Chatterjee's coefficient is its
+power:1 case), whose chi is the integer pair sum of ``_pair_power_sum``,
+and the plugin variant with them where F(y) lies on the lattice
+0, 1/n, ..., 1, as the empirical CDF always does: there the
 plugin stage hands the tail the integers R = n F(y).
 """
 
@@ -240,54 +243,53 @@ def _ranks_in_x_order(
     return r[permutation], max_ranks, x_tied
 
 
-#: below this many values math.fsum beats the numpy call overhead of _fsum
-#: (crossover measured at 700-900 on a 2-core Xeon); from 2^26 values on the
-#: exponent bins could pass 2^53 and lose bits
-_EXACT_SUM_SIZES = range(1000, 2**26)
+#: below this many values math.fsum beats the numpy calls of _fsum
+#: (crossover measured at 500-650 on a 2-core Xeon with numpy 2.4)
+_EXTRACT_MIN = 700
+#: extraction levels a block may take before math.fsum adds the values
+_LEVELS = 6
 
 
 def _fsum(values: np.ndarray) -> float:
     """The exactly rounded sum of a float array: ``math.fsum``'s value, bit for bit.
 
-    Exponent-binned exact accumulation (Neal 2015, arXiv:1505.05571). Each
-    finite value is m * 2^e with |m| in [0.5, 1), and m * 2^53 is an integer
-    M below 2^53 (subnormals included). M splits exactly into
-    hi * 2^27 + lo with hi = floor(m * 2^26) and lo = M - hi * 2^27 in
-    [0, 2^27). One ``bincount`` per half adds them by exponent; with fewer
-    than 2^26 terms every partial bin sum is an integer below 2^53, so the
-    float bins are exact. The few non-empty bins are joined into one Python
-    int, and a single correctly rounded int-to-float step gives the result.
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1),
+    2008). Let sigma = 2^e >= 2^b |p| for every p, with 2^b > n. Then
+    q = (sigma + p) - sigma and p - q are exact, q is a multiple of 2^(e-53)
+    and |p - q| <= 2^(e-53); a sum of n such q's is a multiple of 2^(e-53)
+    below sigma in magnitude, which a float holds exactly. The next level extracts from
+    the remainders p - q with sigma times 2^(b-53), never below 2^-1022, where
+    q = p. ``BLOCK``-sized pieces run the levels until their remainders are
+    all 0, and one ``math.fsum`` rounds the level sums.
 
-    ``math.fsum`` (also the oracle of the tests) serves everything else:
-    arrays outside ``_EXACT_SUM_SIZES``, non-finite values, sums whose
-    magnitude could reach the float limit (``math.fsum`` raises on an
-    intermediate overflow, the bins would not) and sums that are exactly
-    zero, whose sign is ``math.fsum``'s to choose.
+    ``math.fsum``, also the tests' oracle, takes over below ``_EXTRACT_MIN``
+    values, on non-finite values, where sigma would pass the float range
+    (``math.fsum`` raises on an intermediate overflow), where ``_LEVELS``
+    levels leave a remainder (exponents spread over more than about
+    _LEVELS * (53 - b) bits) and on an exact zero sum, whose sign it chooses.
     """
-    if values.size not in _EXACT_SUM_SIZES:
-        return math.fsum(values.tolist())
-    mantissas, exponents = np.frexp(values)
-    low = int(exponents.min())
-    bins = np.subtract(exponents, low, dtype=np.intp)
-    hi = np.multiply(mantissas, 2.0**26)
-    np.floor(hi, out=hi)
-    hi_sums = np.bincount(bins, weights=hi)
-    high = low + hi_sums.size - 1
-    # inf and nan land in hi's bins; check before lo would compute inf - inf
-    if high + values.size.bit_length() >= 1024 or not np.isfinite(hi_sums).all():
-        return math.fsum(values.tolist())
-    mantissas *= 2.0**53
-    hi *= 2.0**27
-    mantissas -= hi
-    lo_sums = np.bincount(bins, weights=mantissas)
-    total = 0
-    for shift, hi_sum, lo_sum in zip(range(hi_sums.size), hi_sums.tolist(), lo_sums.tolist()):
-        if hi_sum or lo_sum:
-            total += ((int(hi_sum) << 27) + int(lo_sum)) << shift
-    if total == 0:
-        return math.fsum(values.tolist())
-    scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    n = values.size
+    b = n.bit_length()  # 2^b > n
+    top = max(values.max(), -values.min()) if n >= _EXTRACT_MIN else 0.0  # NaN if any is
+    e = math.floor(math.log2(top)) + 1 + b if 0.0 < top < math.inf else 1024
+    if e < 1024:
+        level_sums = [0.0] * _LEVELS
+        for start, stop in blocks(n):
+            p = values[start:stop]
+            for level in range(_LEVELS):
+                sigma = 2.0 ** max(e - level * (53 - b), -1022)
+                q = p + sigma
+                q -= sigma
+                level_sums[level] += q.sum()
+                p = p - q
+                if not p.any():
+                    break
+            else:
+                return math.fsum(values.tolist())
+        total = math.fsum(level_sums)
+        if total != 0.0:
+            return total
+    return math.fsum(values.tolist())
 
 
 #: the largest int64, the bound on every partial sum of rank-gap powers
@@ -367,9 +369,15 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -
     """For ascending v: chi, the mean kernel value over all n^2 ordered pairs
     (diagonal included), or None when ``chi`` is off; and, for ``squares``, the
     exactly rounded totals of the off-diagonal row sums S of h and Q of h^2:
-    (sum S, sum Q, sum (S^2 - Q)), else None. One row-sum pass gives both."""
+    (sum S, sum Q, sum (S^2 - Q)), else None. One row-sum pass gives both. A
+    kernel that is 0 between every two values, though they differ, is refused."""
     n = v.size
     sums, sq_sums = _sorted_row_sums(v, kernel, squares)
+    if v[0] != v[-1] and not sums.any():
+        raise DegenerateDataError(
+            f"kernel {kernel.label()} is 0 between every two mapped values, though they "
+            "differ: chi = 0, and neither xi nor its null variance is defined"
+        )
     totals = (_fsum(sums), _fsum(sq_sums), _fsum(sums**2 - sq_sums)) if squares else None
     if not chi:
         return None, totals
@@ -492,7 +500,8 @@ def xi_plugin(
     set to 1 when chi = 0 because y is constant. A map that sends every y of
     a nonconstant sample to one value (Phi beyond about 8.3, a uniform map
     outside its interval) raises ``DegenerateDataError`` instead of reading as
-    perfect dependence. With power:1 or power:2 and every F(y) on the lattice
+    perfect dependence, as does a kernel that is 0 between every two F(y)
+    that differ. With power:1 or power:2 and every F(y) on the lattice
     0, 1/n, ..., 1, as for the empirical CDF, zeta, chi and xi are
     ``xi_rank``'s integer ratios: F(y) = R/n enters the one tail
     (``_coefficient``) that the rank variants share.

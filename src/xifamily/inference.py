@@ -140,10 +140,10 @@ def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> Variance
     m = totals[0] / pairs
     q = totals[1] / pairs
     r = totals[2] / (pairs * (n - 2))
-    if m == 0.0:
+    if totals[0] == 0.0:  # every h_ij = 0, which _pair_mean refuses on values that differ
         raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
-    sigma2 = (q - 2.0 * r + m * m) / (m * m)
-    if not sigma2 > 0.0:  # NaN too, from totals that overflowed
+    sigma2 = (q - 2.0 * r + m * m) / (m * m) if m * m > 0.0 else math.nan
+    if not sigma2 > 0.0:  # NaN too, from totals that overflowed or an m^2 that underflowed
         raise NumericError(
             f"variance estimate {sigma2} is not positive (m={m}, q={q}, r={r}); "
             "numerical failure or pathological sample"

@@ -167,6 +167,29 @@ def test_plugin_refuses_a_uniform_map_that_clips_every_y():
         xi_plugin(s, EXP1, uniform_map(0.0, 1.0))
 
 
+def test_a_kernel_that_vanishes_off_the_diagonal_is_refused_by_name():
+    # custom_kernel's grid checks pass, but chi = 0 on ranks that differ:
+    # that must not read as perfect dependence, xi = 1
+    rng = np.random.default_rng(93)
+    s = sample(rng.random(50), rng.normal(size=50))
+    zero = custom_kernel("zero", lambda u, v: 0.0 * (u - v))
+    with pytest.raises(DegenerateDataError, match="kernel zero is 0 between every two mapped"):
+        xi_rank(s, zero)
+
+
+def test_a_kernel_that_vanishes_on_mapped_values_is_blamed_not_the_map():
+    # F sends y into [0.35, 0.65], where this kernel is 0, but merges no y
+    rng = np.random.default_rng(94)
+    s = sample(rng.random(200), rng.normal(size=200))
+    gap = custom_kernel("gap", lambda u, v: np.maximum(np.abs(u - v) - 0.5, 0.0))
+    dist = uniform_map(-10.0, 10.0)
+    assert np.unique(dist.eval(s.ys)).size == 200
+    with pytest.raises(DegenerateDataError, match="kernel gap is 0 .* though they differ"):
+        xi_plugin(s, gap, dist)
+    constant = sample(rng.random(200), np.full(200, 0.5))
+    assert xi_plugin(constant, gap, dist).xi == 1.0  # a constant y keeps xi = 1
+
+
 def test_plugin_identity_high_dependence():
     xs = np.random.default_rng(0).uniform(-1.0, 1.0, 100)
     s = sample(xs, xs)

@@ -109,6 +109,14 @@ def test_nan_variance_is_refused():
         inference._sigma2(10, (1.0, math.inf, math.inf), "ustat_plugin")
 
 
+def test_underflowing_variance_is_refused():
+    # mapped values within 1e-60 of each other: power:3 gives m near 1e-181,
+    # whose square underflows to 0
+    ys = 1e-60 * np.random.default_rng(10).random(50)
+    with pytest.raises(NumericError, match="variance estimate nan is not positive"):
+        sigma2_ustat(ys, POWER3, uniform_map(0.0, 1.0))
+
+
 def test_ustat_sigma2_consistent_with_components():
     rng = np.random.default_rng(8)
     est = sigma2_ustat(rng.random(60), POWER1, uniform_map(0.0, 1.0))
@@ -119,6 +127,14 @@ def test_ustat_sigma2_consistent_with_components():
 def test_ustat_rejects_constant_y():
     with pytest.raises(DegenerateDataError, match="degenerate Y"):
         sigma2_ustat([2.0, 2.0, 2.0, 2.0], POWER1, std_normal_map())
+
+
+def test_ustat_names_a_kernel_that_vanishes_on_distinct_values():
+    zero = custom_kernel("zero", lambda u, v: 0.0 * (u - v))
+    ys = np.random.default_rng(9).normal(size=40)
+    with pytest.raises(DegenerateDataError, match="kernel zero .* though they differ") as caught:
+        sigma2_ustat(ys, zero, std_normal_map())
+    assert "coincide" not in str(caught.value)
 
 
 def test_ustat_needs_three_points():

@@ -31,10 +31,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+from xifamily._sorting import BLOCK
 from xifamily.cdf import DistMap, empirical_map, resolve_dist_spec, uniform_map
 from xifamily.errors import DegenerateDataError, NumericError
 from xifamily.estimator import (
-    _EXACT_SUM_SIZES,
+    _EXTRACT_MIN,
+    _LEVELS,
     PairedSample,
     _fsum,
     _mid_ranks,
@@ -350,9 +352,10 @@ def math_fsum(values):
 
 @st.composite
 def float_arrays(draw):
-    """Arrays on both sides of the numpy path's size bounds, in awkward shapes."""
+    """Arrays on both sides of the numpy path's size bound, in awkward shapes."""
+    low = _EXTRACT_MIN
     n = draw(st.one_of(
-        st.sampled_from([999, 1000, 1001]), st.integers(2, 999), st.integers(1000, 5000)
+        st.sampled_from([low - 1, low, low + 1]), st.integers(2, low - 1), st.integers(low, 5000)
     ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["uniform", "wide", "subnormal", "cancel", "zeros", "grid"]))
@@ -360,8 +363,9 @@ def float_arrays(draw):
     if shape == "uniform":
         return rng.random(n)
     if shape == "wide":
-        # exponents from the smallest subnormal up: to 2^1000 the numpy path
-        # runs, to the largest normal the sum could overflow and math.fsum runs
+        # exponents from the smallest subnormal up: to 2^1000 the extraction
+        # runs into its level cap, to the largest normal the sum could
+        # overflow; math.fsum adds them in both cases
         top = draw(st.sampled_from([1000, 1024]))
         return np.ldexp(signs * (1.0 + rng.random(n)), rng.integers(-1075, top, n))
     if shape == "subnormal":
@@ -404,20 +408,75 @@ def test_fsum_non_finite_and_overflow_as_math_fsum(special, n):
             _fsum(values)
 
 
+def fsum_call_sizes(monkeypatch):
+    """The lengths of the lists ``math.fsum`` is called with from here on."""
+    sizes, fsum = [], math.fsum
+
+    def recorded(values):
+        values = list(values)
+        sizes.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", recorded)
+    return sizes
+
+
 def test_fsum_large_arrays_do_not_call_math_fsum(monkeypatch):
     # without this, a size bound set too high would leave the numpy path untested
     values = np.random.default_rng(8).random(5000)
     want = math_fsum(values)
-    # the bins are exact only while size * 2^27 stays within 2^53
-    assert _EXACT_SUM_SIZES.stop * 2**27 <= 2**53
-
-    def refuse(_):
-        raise AssertionError("math.fsum called")
-
-    monkeypatch.setattr(math, "fsum", refuse)
+    sizes = fsum_call_sizes(monkeypatch)
     assert _fsum(values) == want
-    with pytest.raises(AssertionError, match="math.fsum called"):
-        _fsum(values[:999])
+    assert sizes == [_LEVELS]  # the level sums only
+    below = values[: _EXTRACT_MIN - 1]
+    want = math_fsum(below)
+    sizes.clear()
+    assert _fsum(below) == want
+    assert sizes == [below.size]
+
+
+def block_values(shape, n):
+    """n values in one of the shapes below, seeded by n."""
+    rng = np.random.default_rng(n)
+    signs = rng.choice([-1.0, 1.0], n)
+    if shape == "uniform":
+        return rng.random(n)
+    if shape == "cancel":
+        # exact cancellation across blocks, around a leftover of 0.75
+        k = (n - 1) // 2
+        half = signs[:k] * np.ldexp(rng.random(k), rng.integers(-30, 30, k))
+        values = np.concatenate((half, -half, [0.75] * (n - 2 * k)))
+        rng.shuffle(values)
+        return values
+    if shape == "zeros":
+        return np.full(n, -0.0)
+    if shape == "subnormal":
+        return signs * rng.integers(0, 2**52, n) * 5e-324
+    values = rng.random(n)
+    if shape == "deep last block":
+        # only the last block needs levels beyond the second
+        values[-1] = 2.0**-100 * (1.0 + rng.random())
+    elif shape == "capped last block":
+        # the last block still holds a remainder after _LEVELS levels
+        values[-1] = 2.0**-900 * (1.0 + rng.random())
+    else:  # exponents over the float range: the first block reaches the cap
+        values = np.ldexp(signs * (1.0 + values), rng.integers(-1075, 1000, n))
+    return values
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("shape, extracted", [
+    ("uniform", True), ("cancel", True), ("subnormal", True), ("deep last block", True),
+    ("zeros", False), ("capped last block", False), ("wide", False),
+])
+def test_fsum_across_blocks_equals_math_fsum_bitwise(monkeypatch, n, shape, extracted):
+    # a level's sum is carried from block to block; math.fsum sees only the
+    # level sums, or else every value
+    values = block_values(shape, n)
+    want = fsum_outcome(math_fsum, values)
+    sizes = fsum_call_sizes(monkeypatch)
+    assert fsum_outcome(_fsum, values) == want
+    assert sizes == ([_LEVELS] if extracted else [n])
 
 
 def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
