@@ -23,8 +23,7 @@ kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
 The all-pairs sums behind chi and the U-statistic null variance take
 their values in ascending order and go through one dispatch,
-``_sorted_row_sums``; the public ``kernel_row_sums`` sorts first and puts
-the rows back in input order. The kernels of the simulation study carry
+``_sorted_row_sums``. The kernels of the simulation study carry
 exact O(n log n) row-sum identities on the sorted sample: one
 integer-power routine serves power:1, power:2 and power:3, and expsq as
 power:2 on e^u; exp:beta keeps its decayed-sum recurrence. Every other
@@ -42,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._sorting import BLOCK, sort_order
+from ._sorting import BLOCK
 from .errors import QuadratureError
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "parse_kernel_spec",
     "normalization_constant",
     "integrate_unit_square",
-    "kernel_row_sums",
 ]
 
 _VALIDATION_GRID = 101
@@ -73,7 +71,7 @@ class Kernel:
     identical inputs give bit-identical outputs. ``closed_form_ch`` is the
     unit-square integral when known analytically.
 
-    ``row_sums`` is an optional exact fast path for ``kernel_row_sums``:
+    ``row_sums`` is an optional exact fast path for ``_sorted_row_sums``:
     called as ``row_sums(v, squares)`` with ascending values v, it returns
     the off-diagonal row sums of h and, when ``squares`` is set, of h^2
     (else None), in the order of v. Only kernels that vanish on the
@@ -336,12 +334,14 @@ def _parse_float(text: str, symbol: str) -> float:
         raise ValueError(f"could not parse {symbol} from {text!r}") from None
 
 
-def integrate_unit_square(
-    fn: Callable,
-    tol: float,
-    order: int = 8,
-    max_level: int = 10,
-) -> float:
+#: Gauss-Legendre nodes per panel axis, and the bisection sweeps allowed
+_QUADRATURE_ORDER = 8
+_QUADRATURE_LEVELS = 10
+#: absolute tolerance of a C_h that has no closed form
+_QUADRATURE_TOL = 1e-8
+
+
+def integrate_unit_square(fn: Callable, tol: float) -> float:
     """Integrate ``fn(u, v)`` over [0,1]^2 to absolute tolerance ``tol``.
 
     Tensor-product Gauss-Legendre on a uniform panel grid, bisecting all
@@ -349,15 +349,15 @@ def integrate_unit_square(
     crease shrinks like (panels per axis)^-2, successive sweeps are combined
     by one Richardson step and the iteration stops when consecutive
     extrapolated values agree within ``tol``. Raises QuadratureError
-    (carrying the last estimate) if the budget of ``max_level`` bisections
+    (carrying the last estimate) if the budget of ``_QUADRATURE_LEVELS`` bisections
     is exhausted.
     """
     if not tol > 0.0:
         raise ValueError(f"quadrature tolerance must be > 0, got {tol!r}")
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(order)
+    base_nodes, base_weights = np.polynomial.legendre.leggauss(_QUADRATURE_ORDER)
     prev = None
     prev_ext = None
-    for level in range(max_level):
+    for level in range(_QUADRATURE_LEVELS):
         panels = 2**level
         half = 0.5 / panels
         offsets = np.arange(panels) / panels + half
@@ -377,35 +377,20 @@ def integrate_unit_square(
         prev = estimate
     raise QuadratureError(
         f"unit-square quadrature did not reach tol={tol:g} within "
-        f"{max_level} bisection sweeps (last estimate {prev_ext!r})",
+        f"{_QUADRATURE_LEVELS} bisection sweeps (last estimate {prev_ext!r})",
         last_estimate=prev_ext,
     )
 
 
-def kernel_row_sums(u, kernel: Kernel, squares: bool = False):
-    """Off-diagonal row sums of the kernel matrix h(u_i, u_j).
-
-    Returns ``(S, Q)`` with S_i = sum_{j != i} h(u_i, u_j) and, when
-    ``squares`` is set, Q_i = sum_{j != i} h(u_i, u_j)^2 (else Q is None),
-    both in the order of ``u``. The sample is sorted once
-    (``_sorting.sort_order``); kernels with a ``row_sums`` hook then take an
-    exact O(n) identity, and any other kernel is evaluated in row blocks of
-    the upper triangle, using its symmetry. Each S_i and Q_i is within
-    1e-12 relative of the exactly rounded sum of its kernel values and
-    depends only on its position in the sorted sample, so exactly rounded
-    totals over rows depend neither on the order of ``u`` nor on the order
-    the sort leaves tied values in.
-    """
-    u = np.asarray(u, dtype=float)
-    order, v = sort_order(u)
-    sorted_sums = _sorted_row_sums(v, kernel, squares)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    return tuple(None if sums is None else sums[position] for sums in sorted_sums)
-
-
 def _sorted_row_sums(v: np.ndarray, kernel: Kernel, squares: bool = False):
-    """``kernel_row_sums`` of ascending ``v``, in the order of ``v``: no sort, no scatter."""
+    """Off-diagonal row sums ``(S, Q)`` of h(v_i, v_j) over ascending ``v``.
+
+    S_i = sum_{j != i} h(v_i, v_j) and, when ``squares`` is set,
+    Q_i = sum_{j != i} h(v_i, v_j)^2 (else Q is None), in the order of v.
+    Kernels with a ``row_sums`` hook take an exact O(n) identity, any other
+    kernel row blocks of the upper triangle. Each S_i and Q_i is within
+    1e-12 relative of the exactly rounded sum of its kernel values.
+    """
     if kernel.row_sums is None:
         return _blocked_row_sums(v, kernel.eval, squares)
     return kernel.row_sums(v, squares)
@@ -435,22 +420,22 @@ def _blocked_row_sums(v: np.ndarray, h: Callable, squares: bool):
     return sums, squared
 
 
-def normalization_constant(kernel: Kernel, quadrature_tol: float = 1e-8) -> float:
+def normalization_constant(kernel: Kernel) -> float:
     """Unit-square integral C_h of a kernel.
 
     Returns the closed form when the kernel carries one, otherwise computes
-    it numerically to ``quadrature_tol`` once per kernel ``eval`` and
-    tolerance: the last 64 results are kept, a failure is not. Positive for
-    every non-constant builtin kernel.
+    it numerically to ``_QUADRATURE_TOL`` once per kernel ``eval``: the last
+    64 results are kept, a failure is not. Positive for every non-constant
+    builtin kernel.
     """
     if kernel.closed_form_ch is not None:
         return kernel.closed_form_ch
     if not isinstance(kernel.eval, Hashable):  # a callable object that defines __eq__ alone
-        return integrate_unit_square(kernel.eval, quadrature_tol)
-    return _integrated(kernel.eval, quadrature_tol)
+        return integrate_unit_square(kernel.eval, _QUADRATURE_TOL)
+    return _integrated(kernel.eval)
 
 
 @functools.lru_cache(maxsize=64)
-def _integrated(fn: Callable, tol: float) -> float:
-    """``integrate_unit_square(fn, tol)``, looked up by name on every miss."""
-    return integrate_unit_square(fn, tol)
+def _integrated(fn: Callable) -> float:
+    """``integrate_unit_square(fn, _QUADRATURE_TOL)``, looked up by name on every miss."""
+    return integrate_unit_square(fn, _QUADRATURE_TOL)

@@ -43,7 +43,6 @@ __all__ = [
     "parse_sigma",
     "generate",
     "rep_seed",
-    "iter_replicates",
     "replicate",
     "population_oracle",
     "format_cell",
@@ -51,6 +50,9 @@ __all__ = [
 
 #: Pure-noise token: y = e, independent of x.
 SIGMA_INF = "inf"
+
+#: Batch means behind ``population_oracle``'s standard error.
+_ORACLE_BATCHES = 50
 
 #: Baselines the harness runs beside the family members in ``VARIANTS``.
 _BASELINES = ("pearson", "spearman")
@@ -179,13 +181,6 @@ def rep_seed(base_seed: int, rep_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def iter_replicates(model: str, sigma, n: int, reps: int, base_seed: int):
-    """Yield (rep_index, seed, sample) for each repetition."""
-    for i in range(reps):
-        seed = rep_seed(base_seed, i)
-        yield i, seed, generate(ModelSpec(model=model, sigma=sigma, n=n, seed=seed))
-
-
 def replicate(
     spec: ModelSpec,
     method: MethodConfig,
@@ -211,7 +206,9 @@ def _replicate_cell(spec, methods, reps, base_seed, keep_per_rep, dump=None) -> 
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     values = np.empty((len(methods), reps))
-    for i, seed, sample in iter_replicates(spec.model, spec.sigma, spec.n, reps, base_seed):
+    for i in range(reps):
+        seed = rep_seed(base_seed, i)
+        sample = generate(ModelSpec(model=spec.model, sigma=spec.sigma, n=spec.n, seed=seed))
         if dump is not None:
             dump(i, sample)
         for k, method in enumerate(methods):
@@ -239,7 +236,6 @@ def population_oracle(
     dist: DistMap,
     draws: int = 1_000_000,
     seed: int = 0,
-    batches: int = 50,
 ) -> PopulationLimit:
     """Monte Carlo estimate of the coefficient's population limit.
 
@@ -247,16 +243,14 @@ def population_oracle(
     the conditional law N(f(x), sigma^2) for a shared x ~ Unif[-1, 1]; the
     normalization integral draws its two coordinates from the marginal law
     via independent fresh x's (doubling the x draws but decorrelating the
-    two estimates). The standard error of xi comes from batch means.
+    two estimates). The standard error of xi comes from 50 batch means.
     """
     if draws < 10_000:
         raise ValueError(f"need draws >= 10000, got {draws}")
-    if batches < 30:
-        raise ValueError(f"need at least 30 batches, got {batches}")
     sigma = parse_sigma(sigma)
     if model not in _MODEL_FUNCS:
         raise ValueError(f"unknown model {model!r}")
-    usable = draws - draws % batches
+    usable = draws - draws % _ORACLE_BATCHES
     rng = np.random.default_rng(seed)
 
     def conditional_pair(count):
@@ -280,11 +274,11 @@ def population_oracle(
         kernel.eval(dist.eval(marginal(usable)), dist.eval(marginal(usable))), dtype=float
     )
 
-    zeta_batch = variation_terms.reshape(batches, -1).mean(axis=1)
-    chi_batch = normalization_terms.reshape(batches, -1).mean(axis=1)
+    zeta_batch = variation_terms.reshape(_ORACLE_BATCHES, -1).mean(axis=1)
+    chi_batch = normalization_terms.reshape(_ORACLE_BATCHES, -1).mean(axis=1)
     zeta_hat = float(zeta_batch.mean())
     chi_hat = float(chi_batch.mean())
-    chi_std_err = float(np.std(chi_batch, ddof=1)) / math.sqrt(batches)
+    chi_std_err = float(np.std(chi_batch, ddof=1)) / math.sqrt(_ORACLE_BATCHES)
     if chi_hat < 10.0 * chi_std_err:
         raise DegenerateDataError(
             f"normalization indistinguishable from 0 (chi_hat={chi_hat:g}, "
@@ -295,7 +289,7 @@ def population_oracle(
         zeta_hat=zeta_hat,
         chi_hat=chi_hat,
         xi_hat=1.0 - zeta_hat / chi_hat,
-        mc_std_err=float(np.std(xi_batch, ddof=1)) / math.sqrt(batches),
+        mc_std_err=float(np.std(xi_batch, ddof=1)) / math.sqrt(_ORACLE_BATCHES),
         draws=usable,
     )
 

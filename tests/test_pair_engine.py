@@ -3,7 +3,7 @@
 The library adds its sums with ``estimator._fsum``, which must return
 ``math.fsum``'s value bit for bit; the last section checks that first.
 
-``kernel_row_sums`` serves chi (``xi_plugin`` / ``xi_rank``) and the
+``kernels._sorted_row_sums`` serves chi (``xi_plugin`` / ``xi_rank``) and the
 U-statistic moments (``sigma2_ustat``) through exact fast paths for the
 builtin kernels and a blocked path for everything else. The oracle below is
 the definition evaluated one row at a time with ``math.fsum``: exactly
@@ -18,7 +18,7 @@ Tolerances, relative to the oracle:
 The oracle is too slow beyond a few hundred points, while the rounding error
 of the prefix sums grows with n; the integer-power routine (power:1,
 power:2, power:3 and expsq) is also checked at n=5000 against the blocked
-path, under the same tolerances, which ``kernel_row_sums`` also promises for
+path, under the same tolerances, which ``_sorted_row_sums`` also promises for
 every single row.
 """
 
@@ -45,7 +45,7 @@ from xifamily.estimator import (
     xi_plugin,
 )
 from xifamily.inference import independence_test, sigma2_ustat
-from xifamily.kernels import custom_kernel, kernel_row_sums, make_kernel
+from xifamily.kernels import _sorted_row_sums, custom_kernel, make_kernel
 
 CHI_REL_TOL = 1e-12
 MOMENT_REL_TOL = 1e-12
@@ -157,7 +157,7 @@ CONSTANT_SAMPLES = {
 @pytest.mark.parametrize("value", list(CONSTANT_SAMPLES))
 def test_constant_sample_is_exactly_degenerate(kernel, value):
     u = CONSTANT_SAMPLES[value]
-    sums, squares = kernel_row_sums(u, kernel, squares=True)
+    sums, squares = _sorted_row_sums(np.sort(u), kernel, squares=True)
     assert np.all(sums == 0.0) and np.all(squares == 0.0)
     result = xi_plugin(PairedSample(xs=np.arange(50.0), ys=u), kernel, IDENTITY)
     assert repr(result.normalization) == "0.0"
@@ -171,14 +171,14 @@ def test_custom_diagonal_counts_in_chi_only():
     off_diagonal = np.abs(u[:, None] - u[None, :]) ** 1.5
     chi = xi_plugin(PairedSample(xs=np.arange(3.0), ys=u), CUSTOM, IDENTITY).normalization
     assert chi == pytest.approx((off_diagonal.sum() + 9 * OFFSET) / 9, rel=1e-15)
-    sums, _ = kernel_row_sums(u, CUSTOM)
+    sums, _ = _sorted_row_sums(np.sort(u), CUSTOM)
     assert sums == pytest.approx(off_diagonal.sum(axis=1) + 2 * OFFSET, rel=1e-15)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.label())
 def test_row_sums_follow_input_order(kernel):
-    u = np.random.default_rng(5).random(40)
-    sums, squares = kernel_row_sums(u, kernel, squares=True)
+    u = np.sort(np.random.default_rng(5).random(40))
+    sums, squares = _sorted_row_sums(u, kernel, squares=True)
     values = np.asarray(kernel.eval(u[:, None], u[None, :]), dtype=float)
     np.fill_diagonal(values, 0.0)
     np.testing.assert_allclose(sums, values.sum(axis=1), rtol=1e-13)
@@ -214,8 +214,9 @@ def test_power_routine_matches_blocked_path_at_large_n(shape, kernel):
     assert kernel.row_sums is not None  # otherwise both sides are the blocked path
     # the same eval without a row-sum hook: summed on the blocked path
     blocked = custom_kernel(f"blocked {kernel.label()}", kernel.eval)
+    v = np.sort(u)
     for got, exact in zip(
-        kernel_row_sums(u, kernel, squares=True), kernel_row_sums(u, blocked, squares=True)
+        _sorted_row_sums(v, kernel, squares=True), _sorted_row_sums(v, blocked, squares=True)
     ):
         np.testing.assert_allclose(got, exact, rtol=MOMENT_REL_TOL, atol=0.0)
     sample = PairedSample(xs=np.arange(LARGE_N, dtype=float), ys=u)
@@ -305,7 +306,7 @@ def test_exp_row_sums_for_steep_kernels():
     u = np.sort(np.random.default_rng(9).random(200))
     for beta in (50.0, 2000.0, 1e5):
         kernel = make_kernel("exp", beta=beta)
-        sums, squares = kernel_row_sums(u, kernel, squares=True)
+        sums, squares = _sorted_row_sums(u, kernel, squares=True)
         values = kernel.eval(u[:, None], u[None, :])
         np.fill_diagonal(values, 0.0)
         np.testing.assert_allclose(sums, values.sum(axis=1), rtol=1e-12)
@@ -502,7 +503,7 @@ def test_independence_test_at_1e5_as_math_fsum_recomputes_it():
     # xi is the exact ratio 1 - n * gap_sum / P with P = sum_{i,j} |R_i - R_j|,
     # n (n^2 - 1) / 3 for distinct y, rounded once
     result = independence_test(sample, kernel, "rank")
-    sums, squares = kernel_row_sums(u, kernel, squares=True)
+    sums, squares = _sorted_row_sums(np.sort(u), kernel, squares=True)
     pairs = n * (n - 1)
     m = math_fsum(sums) / pairs
     q = math_fsum(squares) / pairs

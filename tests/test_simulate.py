@@ -208,11 +208,6 @@ def test_oracle_rejects_small_draw_budget():
         population_oracle("linear", 0.1, POWER1, std_normal_map(), 500)
 
 
-def test_oracle_batch_count_floor():
-    with pytest.raises(ValueError, match="batches"):
-        population_oracle("linear", 0.1, POWER1, std_normal_map(), 50_000, batches=10)
-
-
 # ------------------------------------------------------------------ cells
 
 def test_format_cell():
