@@ -75,16 +75,28 @@ def fit_normal_map(ys) -> DistMap:
     """Normal CDF with mu, sigma estimated from the sample.
 
     mu is the sample mean and sigma the sample standard deviation with the
-    n-1 denominator. A constant sample has no scale and is rejected.
+    n-1 denominator, ``np.std``'s bits without its overflow or underflow. A
+    constant sample has no scale and is rejected.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.size < 2:
         raise ValueError("fitting a normal map needs at least 2 observations")
     mu = float(np.mean(ys))
-    sigma = float(np.std(ys, ddof=1))
+    centred, e = _scaled(ys - mu)
+    sigma = float(np.ldexp(math.sqrt(float(np.sum(centred * centred)) / (ys.size - 1)), e))
     if sigma == 0.0 or not math.isfinite(sigma):
-        raise DegenerateDataError("degenerate Y: sample standard deviation is zero")
+        raise DegenerateDataError("degenerate Y: sample standard deviation is zero or overflows")
     return normal_map(mu, sigma)
+
+
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values * 2^-e, e)`` with the largest magnitude brought into [0.5, 1).
+
+    The scaling is exact for normal floats, so a sum of squares of the result
+    neither overflows nor underflows and is the unscaled one times 4^-e.
+    """
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return np.ldexp(values, -e), e
 
 
 def uniform_map(a: float, b: float) -> DistMap:
@@ -93,10 +105,12 @@ def uniform_map(a: float, b: float) -> DistMap:
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"uniform map needs finite a < b, got ({a}, {b})")
-    width = b - a
+    # where b - a overflows, the map takes halves, which is exact and cannot
+    shrink = 0.5 if math.isinf(b - a) else 1.0
+    low, width = a * shrink, b * shrink - a * shrink
     return DistMap(
         kind="uniform",
-        eval=lambda t: np.clip((np.asarray(t, dtype=float) - a) / width, 0.0, 1.0),
+        eval=lambda t: np.clip((np.asarray(t, dtype=float) * shrink - low) / width, 0.0, 1.0),
         params={"a": a, "b": b},
     )
 

@@ -65,7 +65,7 @@ import numpy as np
 
 from . import _sorting
 from ._sorting import BLOCK, blocks, gathered, packed_sort, scatter_ramp, settle, sort_order
-from .cdf import DistMap
+from .cdf import DistMap, _scaled
 from .errors import DegenerateDataError, NumericError
 from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, normalization_constant
 
@@ -599,8 +599,8 @@ def pearson(sample: PairedSample) -> float:
 
 def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     """``pearson`` of two finite float arrays of one length."""
-    xc = xs - np.mean(xs)
-    yc = ys - np.mean(ys)
+    xc = _scaled(xs - np.mean(xs))[0]  # exact, so the ratio keeps its bits
+    yc = _scaled(ys - np.mean(ys))[0]
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:

@@ -162,8 +162,8 @@ def independence_test(
     """Test independence of x and y via the normal limit of the coefficient.
 
     The closed-form variance is used when the variant is rank-based, the
-    kernel is a power kernel, the caller declares y continuous and no two
-    y's are equal (the ``chatterjee`` variant implies the power-1 kernel).
+    kernel is a power kernel with gamma <= 150, the caller declares y
+    continuous and no two y's are equal (``chatterjee`` implies power:1).
     Otherwise the variance is the U-statistic estimate, taken under the
     empirical CDF for rank variants and under ``dist`` for the plugin, so
     tied y declared continuous are tested as if undeclared. The simplified
@@ -177,6 +177,7 @@ def independence_test(
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
     power = continuous_y and kernel.name == "power" and variant != "plugin"
+    power = power and kernel.params["gamma"] <= _MAX_CLOSED_FORM_GAMMA
 
     def ustat_serves(y_tied: bool | None) -> bool:  # the simplified test refuses tied y below
         return (y_tied or not power) and not (y_tied and variant == "simplified")

@@ -15,7 +15,7 @@ All builtin kernels carry closed-form unit-square integrals
 
     C_h = integral of h over [0,1]^2
         = 2 / ((gamma + 1) * (gamma + 2))                    (power)
-        = 1 - 2/beta + 2/beta^2 - 2*exp(-beta)/beta^2        (exp)
+        = 1 - 2/beta + 2/beta^2 - 2*exp(-beta)/beta^2        (exp; a series below 1)
         = (e^2 - 1) - 2*(e - 1)^2                            (expsq)
 
 used as the exact normalization of the simplified coefficient; custom
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Callable
@@ -58,6 +59,8 @@ _VALIDATION_TOL = 1e-12
 
 #: Largest exponent an anchored decay sum multiplies by (e^600 ~ 4e260).
 _MAX_EXPONENT = 600.0
+#: Largest exp-kernel beta: 2 beta, the decay rate of h^2's row sums, stays finite.
+_MAX_BETA = sys.float_info.max / 2
 #: Exponents whose power kernel carries the integer-power row-sum routine;
 #: the simplified coefficient also sums their rank gaps in integers.
 _INTEGER_POWERS = (1.0, 2.0, 3.0)
@@ -233,6 +236,26 @@ def _exp_row_sums(beta: float) -> Callable:
     return row_sums
 
 
+#: 1 / (k + 2)! for k = 1..18, the terms of the exp kernel's C_h series
+_EXP_CH_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(1, 19))
+
+
+def _exp_ch(beta: float) -> float:
+    """C_h of exp:beta, within 2.3 ulps below beta = 1 and 6.1 from there on.
+
+    The closed form cancels terms of size 2 / beta^2 for small beta, so below
+    1 the series 2 sum_{k>=1} (-1)^(k+1) beta^k / (k + 2)! serves, by Horner;
+    its terms fall by beta / (k + 3), so 18 of them pass 2^-60 relative.
+    beta * beta overflows to inf, not an error, for huge beta.
+    """
+    if beta < 1.0:
+        total = 0.0
+        for c in reversed(_EXP_CH_SERIES):
+            total = c - beta * total
+        return 2.0 * beta * total
+    return 1.0 - 2.0 / beta + 2.0 / (beta * beta) - 2.0 * math.exp(-beta) / (beta * beta)
+
+
 def make_kernel(name: str, **params) -> Kernel:
     """Construct a builtin kernel: ``power`` (gamma), ``exp`` (beta), ``expsq``.
 
@@ -251,13 +274,15 @@ def make_kernel(name: str, **params) -> Kernel:
         )
     if name == "exp":
         beta = _require_positive_finite(params.pop("beta"), "beta")
+        if beta > _MAX_BETA:
+            raise ValueError(f"beta must be at most {_MAX_BETA:g}, got {beta!r}")
         if params:
             raise ValueError(f"unexpected exp-kernel parameters: {sorted(params)}")
         return Kernel(
             name="exp",
             params={"beta": beta},
             eval=_exp_eval(beta),
-            closed_form_ch=1.0 - 2.0 / beta + 2.0 / beta**2 - 2.0 * math.exp(-beta) / beta**2,
+            closed_form_ch=_exp_ch(beta),
             row_sums=_exp_row_sums(beta),
         )
     if name == "expsq":

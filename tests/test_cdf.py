@@ -182,6 +182,13 @@ def test_uniform_map_clips():
     assert dist.eval(5.0) == 1.0
 
 
+def test_uniform_map_wider_than_the_float_range():
+    # b - a overflows to inf: the map takes halves, each exact
+    dist = uniform_map(-1e308, 1e308)
+    assert dist.eval(np.array([-1e308, 0.0, 5e307, 1e308])).tolist() == [0.0, 0.5, 0.75, 1.0]
+    assert dist.eval(1.7e308) == 1.0 and dist.eval(-1.7e308) == 0.0
+
+
 @pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)])
 def test_uniform_rejects_bad_bounds(a, b):
     with pytest.raises(ValueError):

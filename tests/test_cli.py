@@ -355,6 +355,28 @@ def test_negative_seed_exits_2_whatever_the_file(tmp_path, capsys, xs):
     assert "tie_seed must be a non-negative integer" in capsys.readouterr().err
 
 
+def test_every_kernel_parameter_exits_with_a_documented_code(tmp_path, capsys):
+    # exp:1e-308 raised ZeroDivisionError and exp:1e300 OverflowError out of
+    # main; rank --continuous-y with power:151 was a usage error
+    rng = np.random.default_rng(3)
+    xs = rng.random(40)
+    path = write_csv(tmp_path / "d.csv", ["x", "y"], [xs, xs + rng.standard_normal(40)])
+    base = ["--file", path, "--x-col", "x", "--y-col", "y"]
+    values = [f"1e{e}" for e in range(-308, 309, 28)] + ["1e-7", "151"]
+    codes = {}
+    for spec in [f"{kind}:{value}" for kind in ("exp", "power") for value in values]:
+        for variant in ("plugin", "rank", "simplified"):
+            for command in (["compute"], ["test"], ["test", "--continuous-y"]):
+                # the suite turns any warning into an error
+                codes[" ".join(command), spec, variant] = main(
+                    command + base + ["--h", spec, "--variant", variant]
+                )
+    capsys.readouterr()
+    assert set(codes.values()) <= {0, 2, 3, 4}
+    assert codes["test --continuous-y", "power:151", "rank"] == 0
+    assert codes["compute", "exp:1e-7", "simplified"] == 0
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["compute"]) == 2
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xifamily import _sorting, estimator
-from xifamily.cdf import empirical_map, std_normal_map, uniform_map
+from xifamily.cdf import empirical_map, fit_normal_map, std_normal_map, uniform_map
 from xifamily.errors import DegenerateDataError, XiFamilyError
 from xifamily.inference import independence_test
 from xifamily.estimator import (
@@ -635,6 +635,34 @@ def test_pearson_zero_variance_errors():
 def test_pearson_symmetric_quadratic_near_zero():
     xs = np.linspace(-1.0, 1.0, 10_001)
     assert abs(pearson(sample(xs, xs**2))) < 1e-10
+
+
+def scaled_outputs(xs, ys):
+    s = sample(xs, ys)
+    exp1 = make_kernel("exp", beta=1.0)
+    return (
+        xi_rank(s, POWER1).xi,
+        xi_rank(s, exp1).xi,
+        xi_simplified(s, POWER1).xi,
+        chatterjee_reference(s).xi,
+        spearman(s),
+        pearson(s),
+        xi_plugin(s, exp1, fit_normal_map(s.ys)).xi,
+    )
+
+
+def test_outputs_keep_their_bits_at_power_of_two_scales():
+    # scaling y by 2^k is exact while its values stay normal floats; pearson
+    # squared y*2^900 to inf, and both it and the fitted map took y*2^-900's
+    # squares to 0
+    rng = np.random.default_rng(2)
+    xs, ys = rng.random(400), rng.standard_normal(400)
+    want = scaled_outputs(xs, ys)
+    assert pearson(sample(xs, ys)) == pytest.approx(0.00864, abs=1e-5)
+    for k in (900, -900):
+        assert scaled_outputs(xs, np.ldexp(ys, k)) == want, k
+    for c in (1e300, 1e-300):
+        assert pearson(sample(xs, ys * c)) == pytest.approx(want[5], rel=1e-12)
 
 
 def test_spearman_monotone_is_one():

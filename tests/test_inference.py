@@ -273,6 +273,16 @@ def test_declared_continuous_tied_y_take_the_ustat():
     assert result.sigma2_used.source == "ustat_rank"
 
 
+@pytest.mark.parametrize("variant", ["rank", "simplified"])
+def test_declared_continuous_past_the_closed_form_take_the_ustat(variant):
+    # sigma2_power_closed_form refuses gamma > 150, where the test refused with it
+    s = _independent_sample(200, 7)
+    kernel = make_kernel("power", gamma=151.0)
+    result = independence_test(s, kernel, variant=variant, continuous_y=True)
+    assert result.sigma2_used.source == "ustat_rank"
+    assert result == independence_test(s, kernel, variant=variant)
+
+
 def test_declared_continuous_constant_y_is_refused():
     # the closed form would give z = 11.18 and p = 2.5e-29 on this null sample
     s = PairedSample(xs=np.linspace(0.0, 1.0, 50), ys=np.full(50, 3.0))

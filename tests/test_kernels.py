@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ def test_exp_closed_form_Ch():
     assert normalization_constant(make_kernel("exp", beta=1.0)) == pytest.approx(
         1.0 - 2.0 / math.e, abs=1e-15
     )
+
+
+def exp_ch_decimal(beta: float) -> Decimal:
+    """C_h of exp:beta in 60 digits: the series below 1, the closed form above."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b = Decimal(beta)
+        if beta >= 1.0:
+            return 1 - 2 / b + 2 / (b * b) - 2 * (-b).exp() / (b * b)
+        total, k, term = Decimal(0), 1, b / 6  # 2 sum (-1)^(k+1) b^k / (k+2)!
+        while term > b * Decimal("1e-70"):
+            total += term if k % 2 else -term
+            k += 1
+            term *= b / (k + 2)
+        return 2 * total
+
+
+def test_exp_ch_within_two_ulps_at_every_scale():
+    # the closed form alone cancels below beta ~ 1, reads 0 at 1e-6 and
+    # divides by zero or overflows in beta**2 at the ends of the range
+    for beta in (1e-300, 1e-8, 1e-3, 0.05, 0.2, 1.0, 200.0, 1e300):
+        want = exp_ch_decimal(beta)
+        got = make_kernel("exp", beta=beta).closed_form_ch
+        assert abs(Decimal(got) - want) <= 2 * Decimal(math.ulp(float(want))), beta
+        if 1.0 <= beta <= 200.0:  # the closed form keeps its bits
+            assert got == 1.0 - 2.0 / beta + 2.0 / beta**2 - 2.0 * math.exp(-beta) / beta**2
+
+
+def test_exp_refuses_beta_whose_double_overflows():
+    assert make_kernel("exp", beta=kernels._MAX_BETA).closed_form_ch == 1.0
+    with pytest.raises(ValueError, match="beta must be at most"):
+        make_kernel("exp", beta=1e308)
 
 
 def test_expsq_closed_form_Ch_matches_quadrature():
