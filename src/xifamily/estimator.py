@@ -10,48 +10,13 @@ plugin coefficient is
     xi   = 1 - zeta / chi,      with xi = 1 when chi = 0.
 
 zeta is small when y tracks x; chi calibrates xi to 0 under independence.
-The rank variant substitutes the empirical CDF (F(y) = rank/n), and the
-simplified variant replaces chi by the constant C_h = integral of h over
-the unit square, valid for continuous y, dropping the cost from O(n^2) to
-O(n log n). With h = |y - z| the rank variant is Chatterjee's rank
-correlation, tie denominator included, which is also provided directly as
-a reference; with distinct y the simplified variant differs from it only by
-the n^2/3 vs (n^2-1)/3 denominator. ``coefficient`` selects a
-member by its name in ``VARIANTS``; the CLI and the simulation harness go
-through it, and the independence test shares its argument check.
-
-All operations are pure functions of (sample, seed). Every sort orders
-by value as argsort does wherever the values are distinct. One private
-function, ``_coefficient``, computes every variant and the independence
-test's totals. It has two input stages and one tail. The rank-based
-variants read one thing from the data, the ranks of y in x-order
-(``_ranks_in_x_order``). From ``_sorting._PACKED_SORT_MIN`` values on,
-distinct x and y give them by two in-place sorts of packed int64 keys, y's
-indices by y and then y's ranks by x, with no gather. Below that, and on
-tied x or y, x is sorted once for its order (``_sorting.sort_order``) and y
-once for its max-ranks (``_ranked``), which every rank-based output reads:
-the rank variants, ``y_tied``, Chatterjee's tie denominator and Spearman's
-mid-ranks. The plugin orders x, evaluates F once and sorts F(y) once.
-
-The tail builds chi from the off-diagonal row sums of the mapped values in
-ascending order (``kernels._sorted_row_sums``, exact O(n log n) identities
-for the builtin kernels); the same pass can add the three totals of the
-test's moments (``_pair_mean``). zeta's kernel values and chi's row sums
-are added with ``_fsum``, math.fsum's exactly rounded sum bit for bit, which
-from ``_EXTRACT_MIN`` values on splits them error-free into a few exact level
-sums in numpy (Rump, Ogita and Oishi 2008). So chi is deterministic,
-independent of the order of the sample, and within 1e-12 relative of the
-exactly rounded sum of all n^2 kernel values (the tolerance the tests check
-against a row-loop oracle). A kernel that is 0 between every two mapped
-values that differ is refused, as a map that merges every y is. The
-simplified variant with power:1, power:2 or power:3 needs no kernel values
-at all: its zeta is an integer sum of rank-gap powers over n^(gamma+1),
-added exactly in int64 (``_rank_gap_power_sum``) and rounded once. So does
-the rank variant with power:1 or power:2 (Chatterjee's coefficient is its
-power:1 case), whose chi is the integer pair sum of ``_pair_power_sum``,
-and the plugin variant with them where F(y) lies on the lattice
-0, 1/n, ..., 1, as the empirical CDF always does: there the
-plugin stage hands the tail the integers R = n F(y).
+The rank variant takes F to be the empirical CDF, the simplified variant
+replaces chi by C_h, the integral of h over the unit square, and with
+h = |y - z| the rank variant is Chatterjee's rank correlation.
+``coefficient`` selects a member by its name in ``VARIANTS``, and one private
+function, ``_coefficient``, computes every variant and the test's totals.
+Every output is a pure function of (sample, seed), and every sort orders by
+value as argsort does wherever the values are distinct.
 """
 
 from __future__ import annotations

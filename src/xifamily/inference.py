@@ -6,32 +6,13 @@ asymptotically centered normal with variance
     sigma^2 = (E h12^2 - 2 E[h12 h13] + (E h12)^2) / (E h12)^2,
 
 where h_ij = h(F(y_i), F(y_j)) over iid copies of y. For the rank variants
-with continuous y, F(y) is uniform on [0,1] and the three moments reduce to
-unit-square integrals; for the power kernel |y-z|^gamma they evaluate in
-closed form (gamma = 1 gives 2/5, matching the classic rank correlation),
-which the test takes when the caller declares y continuous and ranking y
-found no two equal values (``CoefficientResult.y_tied`` is False).
-Otherwise the moments are estimated from the sample by U-statistics over
-distinct index pairs and triples, from the row sums of the mapped values in
-ascending order (``kernels._sorted_row_sums``, O(n log n) for the builtin
-kernels):
-
-    sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i,
-    S_i = sum_{j != i} h_ij,   Q_i = sum_{j != i} h_ij^2,
-
-read through three exactly rounded totals, sum S, sum Q and sum (S^2 - Q)
-(``estimator._pair_mean``). The test makes one call for every variant to
-the coefficient's core (``estimator._coefficient``), which returns the
-result and these totals. Before any sum, the core asks the test whether
-the U-statistic serves: a rank-based variant tells it, after ranking y,
-whether two y's are equal; the plugin, which never ranks y, tells it None.
-The totals are added only when it does. So every test takes at most one
-row-sum pass, y is neither mapped nor sorted again, and the totals are
-None exactly where the closed form applies.
-
-The test statistic is z = sqrt(n) * xi / sigma, with a one-sided upper-tail
-p-value as the default decision output (large xi indicates dependence).
-The p-values come from ``math.erfc``.
+with continuous y the moments are unit-square integrals, in closed form for
+the power kernel |y-z|^gamma (gamma = 1 gives 2/5, the classic rank
+correlation's). Otherwise U-statistics over distinct index pairs and triples
+estimate them from the row sums S_i of h and Q_i of h^2 over j != i, as
+sum_{j != k != i} h_ij h_ik = S_i^2 - Q_i. The statistic is
+z = sqrt(n) * xi / sigma, with one- and two-sided p-values from ``math.erfc``;
+large xi indicates dependence.
 """
 
 from __future__ import annotations
