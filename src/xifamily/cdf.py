@@ -105,7 +105,7 @@ def uniform_map(a: float, b: float) -> DistMap:
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or b <= a:
         raise ValueError(f"uniform map needs finite a < b, got ({a}, {b})")
-    # where b - a overflows, the map takes halves, which is exact and cannot
+    # where b - a overflows, halves of t, a and b give the ratio exactly, without overflow
     shrink = 0.5 if math.isinf(b - a) else 1.0
     low, width = a * shrink, b * shrink - a * shrink
     return DistMap(

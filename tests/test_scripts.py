@@ -101,3 +101,14 @@ def test_output_digest_runs():
     assert len(families) == 24
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in families.values())
     assert digest.digests(grid) == (families, total)
+
+
+def test_count_lines_splits_code_from_docstrings():
+    spec = importlib.util.spec_from_file_location("count_lines", ROOT / "scripts" / "count_lines.py")
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    source = (
+        '"""Module doc,\n\nthree lines."""\n\nimport os  # a comment\n# only a comment\n\n\n'
+        'def f():\n    """One line."""\n    return (1,\n            2)\n'
+    )
+    assert counter.count(source) == (4, 4)  # import, def and return's two; 3 + 1
