@@ -81,8 +81,7 @@ def fit_normal_map(ys) -> DistMap:
     ys = np.asarray(ys, dtype=float)
     if ys.size < 2:
         raise ValueError("fitting a normal map needs at least 2 observations")
-    mu = float(np.mean(ys))
-    centred, e = _scaled(ys - mu)
+    centred, e, mu = _centred(ys)
     sigma = float(np.ldexp(math.sqrt(float(np.sum(centred * centred)) / (ys.size - 1)), e))
     if sigma == 0.0 or not math.isfinite(sigma):
         raise DegenerateDataError("degenerate Y: sample standard deviation is zero or overflows")
@@ -97,6 +96,15 @@ def _scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
     """
     e = math.frexp(float(np.max(np.abs(values))))[1]
     return np.ldexp(values, -e), e
+
+
+def _centred(values: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """``(c, e, mu)``: mu = ``np.mean(values)`` and c = (values - mu) * 2^-e as
+    ``_scaled`` scales it, both from the values scaled first, so neither overflows."""
+    scaled, e = _scaled(values)
+    mean = float(np.mean(scaled))
+    centred, shift = _scaled(scaled - mean)
+    return centred, e + shift, math.ldexp(mean, e)
 
 
 def uniform_map(a: float, b: float) -> DistMap:

@@ -25,6 +25,7 @@ from .estimator import VARIANTS, PairedSample, coefficient
 from .inference import independence_test
 from .kernels import parse_kernel_spec
 from .simulate import (
+    _MODEL_FUNCS,
     ModelSpec,
     _replicate_cell,
     format_cell,
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("simulate", help="replicate a synthetic model and emit a table cell")
-    p.add_argument("--model", required=True, choices=["linear", "quadratic", "sinusoidal"])
+    p.add_argument("--model", required=True, choices=sorted(_MODEL_FUNCS))
     p.add_argument("--sigma", default="0", help="comma-separated noise levels; 'inf' = pure noise")
     p.add_argument("--n", default="100", help="comma-separated sample sizes")
     p.add_argument("--reps", type=int, default=100)

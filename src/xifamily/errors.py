@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["XiFamilyError", "DegenerateDataError", "QuadratureError", "NumericError"]
+
 
 class XiFamilyError(Exception):
     """Base class for all package-specific errors."""

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _sorting
 from ._sorting import BLOCK, blocks, gathered, packed_sort, scatter_ramp, settle, sort_order
-from .cdf import DistMap, _scaled
+from .cdf import DistMap, _centred
 from .errors import DegenerateDataError, NumericError
 from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, normalization_constant
 
@@ -264,10 +264,10 @@ _INT64_MAX = 2**63 - 1
 def _exact_gap_power(kernel: Kernel, n: int) -> int | None:
     """gamma when the simplified zeta of ``kernel`` at n is an int64 rank-gap sum.
 
-    That is power:1, power:2 and power:3 (the exponents of the row-sum
-    hook) with (n - 1)^gamma, the largest term, within int64; else None.
+    That is gamma 1, 2 or 3 in ``kernel.params`` (the row-sum hook's exponents)
+    with (n - 1)^gamma, the largest term, within int64; else None.
     """
-    gamma = kernel.params.get("gamma") if kernel.name == "power" else None
+    gamma = kernel.params.get("gamma")
     if gamma in _INTEGER_POWERS and (n - 1) ** int(gamma) <= _INT64_MAX:
         return int(gamma)
     return None
@@ -330,12 +330,12 @@ def _pair_power_sum(r_sorted: np.ndarray | None, n: int, gamma: int) -> int:
     return 2 * n * _int_sum(squares, n * n) - 2 * total * total
 
 
-def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -> tuple:
+def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple:
     """For ascending v: chi, the mean kernel value over all n^2 ordered pairs
-    (diagonal included), or None when ``chi`` is off; and, for ``squares``, the
-    exactly rounded totals of the off-diagonal row sums S of h and Q of h^2:
-    (sum S, sum Q, sum (S^2 - Q)), else None. One row-sum pass gives both. A
-    kernel that is 0 between every two values, though they differ, is refused."""
+    (diagonal included), and, for ``squares``, the exactly rounded totals of the
+    off-diagonal row sums S of h and Q of h^2: (sum S, sum Q, sum (S^2 - Q)),
+    else None. One row-sum pass gives both. A kernel that is 0 between every two
+    values, though they differ, is refused."""
     n = v.size
     sums, sq_sums = _sorted_row_sums(v, kernel, squares)
     if v[0] != v[-1] and not sums.any():
@@ -344,8 +344,6 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool, chi: bool = True) -
             "differ: chi = 0, and neither xi nor its null variance is defined"
         )
     totals = (_fsum(sums), _fsum(sq_sums), _fsum(sums**2 - sq_sums)) if squares else None
-    if not chi:
-        return None, totals
     if kernel.row_sums is None:
         # only hooked kernels are exactly 0 on the diagonal; a custom kernel
         # may leave up to its validation tolerance there, which chi counts
@@ -428,7 +426,7 @@ def _coefficient(
         if v is None:
             v = (np.arange(1, n + 1) if r_sorted is None else r_sorted) / n
         del r_sorted
-        chi, totals = _pair_mean(v, kernel, take_totals, chi=sum_chi)
+        chi, totals = _pair_mean(v, kernel, take_totals)
     if variant == "simplified":
         normalization, xi = c_h, 1.0 - zeta / c_h
     elif sum_chi:
@@ -564,8 +562,8 @@ def pearson(sample: PairedSample) -> float:
 
 def _pearson(xs: np.ndarray, ys: np.ndarray) -> float:
     """``pearson`` of two finite float arrays of one length."""
-    xc = _scaled(xs - np.mean(xs))[0]  # exact, so the ratio keeps its bits
-    yc = _scaled(ys - np.mean(ys))[0]
+    xc = _centred(xs)[0]
+    yc = _centred(ys)[0]
     sx = math.sqrt(float(xc @ xc))
     sy = math.sqrt(float(yc @ yc))
     if sx == 0.0 or sy == 0.0:

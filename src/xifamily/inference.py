@@ -111,7 +111,7 @@ def sigma2_ustat(ys, kernel: Kernel, dist: DistMap) -> VarianceEstimate:
     ys = PairedSample(xs=ys, ys=ys).ys  # refused as a sample's y is: 2-D, NaN or inf
     _, v = sort_order(np.asarray(dist.eval(ys), dtype=float))
     source = "ustat_rank" if dist.kind == "empirical" else "ustat_plugin"
-    return _sigma2(n, _pair_mean(v, kernel, True, chi=False)[1], source)
+    return _sigma2(n, _pair_mean(v, kernel, True)[1], source)
 
 
 def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> VarianceEstimate:
@@ -157,8 +157,9 @@ def independence_test(
     _check_arguments(variant, kernel, dist)
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
-    power = continuous_y and kernel.name == "power" and variant != "plugin"
-    power = power and kernel.params["gamma"] <= _MAX_CLOSED_FORM_GAMMA
+    gamma = kernel.params.get("gamma")
+    power = continuous_y and gamma is not None and variant != "plugin"
+    power = power and gamma <= _MAX_CLOSED_FORM_GAMMA
 
     def ustat_serves(y_tied: bool | None) -> bool:  # the simplified test refuses tied y below
         return (y_tied or not power) and not (y_tied and variant == "simplified")
@@ -171,7 +172,7 @@ def independence_test(
         )
     if totals is None:  # a power kernel on untied y declared continuous
         variance = VarianceEstimate(
-            sigma2=sigma2_power_closed_form(kernel.params["gamma"]),
+            sigma2=sigma2_power_closed_form(gamma),
             source="closed_form_power",
         )
     else:

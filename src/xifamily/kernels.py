@@ -95,7 +95,9 @@ class Kernel:
         return f"{self.name}:{args}"
 
 
-def _require_positive_finite(value: float, symbol: str) -> float:
+def _require_positive_finite(value: float | None, symbol: str) -> float:
+    if value is None:
+        raise ValueError(f"{symbol} is required")
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise ValueError(f"{symbol} must be > 0 and finite, got {value!r}")
@@ -257,12 +259,10 @@ def _exp_ch(beta: float) -> float:
 
 
 def make_kernel(name: str, **params) -> Kernel:
-    """Construct a builtin kernel: ``power`` (gamma), ``exp`` (beta), ``expsq``.
-
-    Parameter domains (gamma > 0, beta > 0) are enforced here.
-    """
+    """A builtin kernel: ``power`` (gamma > 0), ``exp`` (beta > 0) or ``expsq``;
+    a parameter that is missing or outside its domain raises ValueError."""
     if name == "power":
-        gamma = _require_positive_finite(params.pop("gamma"), "gamma")
+        gamma = _require_positive_finite(params.pop("gamma", None), "gamma")
         if params:
             raise ValueError(f"unexpected power-kernel parameters: {sorted(params)}")
         return Kernel(
@@ -273,7 +273,7 @@ def make_kernel(name: str, **params) -> Kernel:
             row_sums=_power_row_sums(int(gamma)) if gamma in _INTEGER_POWERS else None,
         )
     if name == "exp":
-        beta = _require_positive_finite(params.pop("beta"), "beta")
+        beta = _require_positive_finite(params.pop("beta", None), "beta")
         if beta > _MAX_BETA:
             raise ValueError(f"beta must be at most {_MAX_BETA:g}, got {beta!r}")
         if params:

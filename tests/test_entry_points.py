@@ -7,10 +7,12 @@ variant names.
 """
 
 import csv
+import importlib
 
 import numpy as np
 import pytest
 
+import xifamily
 from xifamily.cdf import resolve_dist_spec
 from xifamily.cli import main
 from xifamily.errors import DegenerateDataError
@@ -134,3 +136,34 @@ def test_missing_kernel_rejected_everywhere(variant):
         )
     with pytest.raises(ValueError, match=message):
         independence_test(sample, None, variant=variant, dist=dist)
+
+
+#: the package's public names; one added to a module's ``__all__`` is added here
+PUBLIC_NAMES = [
+    "CoefficientResult", "DegenerateDataError", "DistMap", "Kernel", "MethodConfig",
+    "ModelSpec", "NumericError", "PairedSample", "PopulationLimit", "QuadratureError",
+    "RepSummary", "SIGMA_INF", "TestResult", "VARIANTS", "VarianceEstimate",
+    "XiFamilyError", "chatterjee_reference", "coefficient", "custom_kernel",
+    "empirical_map", "fit_normal_map", "format_cell", "generate", "independence_test",
+    "integrate_unit_square", "make_kernel", "normal_map", "normalization_constant",
+    "order_by_x", "parse_kernel_spec", "parse_method_spec", "parse_sigma", "pearson",
+    "population_oracle", "ranks", "rep_seed", "replicate", "resolve_dist_spec",
+    "sigma2_power_closed_form", "sigma2_ustat", "spearman", "std_normal_cdf",
+    "std_normal_map", "uniform_map", "xi_plugin", "xi_rank", "xi_simplified",
+]
+
+
+def test_public_names_are_the_modules_own_objects():
+    assert sorted(xifamily.__all__) == PUBLIC_NAMES
+    modules = ["cdf", "errors", "estimator", "inference", "kernels", "simulate"]
+    owner = {}
+    for name in modules:
+        module = importlib.import_module(f"xifamily.{name}")
+        for public in module.__all__:
+            assert public not in owner, (public, owner.get(public), name)
+            owner[public] = module
+    assert sorted(owner) == PUBLIC_NAMES
+    for name, module in owner.items():
+        value = getattr(xifamily, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name

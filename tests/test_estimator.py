@@ -665,6 +665,18 @@ def test_outputs_keep_their_bits_at_power_of_two_scales():
         assert pearson(sample(xs, ys * c)) == pytest.approx(want[5], rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_means_near_the_float_maximum_do_not_overflow():
+    # y's sum overflowed: pearson read nan and the fit was refused
+    xs = np.array([1.0, 2.0, 3.0, 4.0])
+    ys = np.array([1.7e308, 1.6e308, -1.0, 2.0])
+    small = np.ldexp(ys, -4)
+    assert pearson(sample(xs, ys)) == pearson(sample(xs, small))
+    assert math.isfinite(pearson(sample(xs, ys)))
+    fitted, want = fit_normal_map(ys).params, fit_normal_map(small).params
+    assert fitted == {key: 16.0 * value for key, value in want.items()}
+
+
 def test_spearman_monotone_is_one():
     xs = np.linspace(-2.0, 2.0, 30)
     assert spearman(sample(xs, xs**3)) == pytest.approx(1.0, abs=1e-12)

@@ -209,6 +209,18 @@ def test_closed_form_is_used_for_rank_based_power_continuous():
     assert result.sigma2_used.sigma2 == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.parametrize("variant", ["rank", "simplified"])
+def test_custom_kernel_named_power_takes_the_ustat(variant):
+    # the closed form follows the gamma make_kernel declares, not the name
+    s = _independent_sample(60, 4)
+    want = independence_test(s, custom_kernel("abs", lambda u, v: np.abs(u - v)), variant,
+                             continuous_y=True)
+    named = custom_kernel("power", lambda u, v: np.abs(u - v))
+    got = independence_test(s, named, variant, continuous_y=True)
+    assert got.sigma2_used.source == "ustat_rank"
+    assert (got.z, got.sigma2_used) == (want.z, want.sigma2_used)
+
+
 def test_z_matches_arithmetic_contract():
     s = _independent_sample(500, 2)
     result = independence_test(s, POWER1, variant="simplified", continuous_y=True)
@@ -375,9 +387,10 @@ def test_moments_add_three_exact_sums_over_n(monkeypatch, variant, spec, f):
     assert sorted(sizes) == [n - 1, n, n, n]
 
 
-def test_custom_kernel_sums_only_what_is_read(monkeypatch):
-    # chi alone adds S once, together with the diagonal it counts; the
-    # moments alone add S, Q and S^2 - Q and never evaluate the diagonal
+def test_custom_kernel_sum_and_evaluation_counts(monkeypatch):
+    # chi adds S once, together with the diagonal it counts; the moments add
+    # S, Q and S^2 - Q, and chi comes with them: one O(n) diagonal evaluation
+    # and one sum of 2n values, beside the O(n^2) blocked row sums
     n = 300
     s = _independent_sample(n, 10)
     sizes, vector_evals = [], []
@@ -398,7 +411,7 @@ def test_custom_kernel_sums_only_what_is_read(monkeypatch):
     sizes.clear()
     vector_evals.clear()
     sigma2_ustat(s.ys, kernel, empirical_map(s.ys))
-    assert (sorted(sizes), vector_evals) == ([n, n, n], [])
+    assert (sorted(sizes), vector_evals) == ([n, n, n, 2 * n], [n])
 
 
 @pytest.mark.parametrize(

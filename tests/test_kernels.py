@@ -57,6 +57,12 @@ def test_exp_rejects_bad_beta(bad):
         make_kernel("exp", beta=bad)
 
 
+@pytest.mark.parametrize("name, symbol", [("power", "gamma"), ("exp", "beta")])
+def test_missing_parameter_is_a_value_error(name, symbol):
+    with pytest.raises(ValueError, match=f"^{symbol} is required$"):
+        make_kernel(name)
+
+
 @pytest.mark.parametrize("kernel", BUILTINS, ids=lambda k: k.label())
 def test_grid_invariants(kernel):
     grid = np.linspace(0.0, 1.0, 101)
