@@ -21,6 +21,7 @@ import numpy as np
 
 from ._sorting import BLOCK, blocks
 from .errors import DegenerateDataError
+from .kernels import _split_spec
 
 __all__ = [
     "DistMap",
@@ -142,51 +143,31 @@ def empirical_map(ys) -> DistMap:
     return DistMap(kind="empirical", eval=_eval, params={"n": n})
 
 
+#: the map of each F spec by its name and count of numbers, and whether it fits the sample
+_DIST_SPECS = {
+    ("std-normal", 0): (std_normal_map, False),
+    ("fit-normal", 0): (fit_normal_map, True),
+    ("fit-normal", 2): (normal_map, False),
+    ("empirical", 0): (empirical_map, True),
+    ("uniform", 2): (uniform_map, False),
+}
+
+
 def resolve_dist_spec(spec: str, ys=None) -> DistMap:
-    """Parse the CLI grammar for F and bind data-dependent kinds to ``ys``.
-
-    Grammar: ``std-normal`` | ``fit-normal[:MU,SIGMA]`` | ``empirical`` |
-    ``uniform:A,B``. ``fit-normal`` without parameters and ``empirical``
-    require the sample; explicit ``fit-normal:MU,SIGMA`` overrides fitting.
-    """
-    head, sep, tail = spec.partition(":")
-    head = head.strip()
-    if head == "std-normal":
-        if sep:
-            raise ValueError("std-normal takes no parameters")
-        return std_normal_map()
-    if head == "fit-normal":
-        if sep:
-            mu, sigma = _parse_pair(tail, "fit-normal")
-            return normal_map(mu, sigma)
+    """The map F of ``std-normal`` | ``fit-normal[:MU,SIGMA]`` | ``empirical`` |
+    ``uniform:A,B``; ``fit-normal`` without numbers and ``empirical`` fit ``ys``."""
+    name, values = _split_spec(spec)
+    make, fits_sample = _DIST_SPECS.get((name, len(values)), (None, False))
+    if make is None:
+        raise ValueError(
+            f"F spec {spec!r} is not one of std-normal, fit-normal[:MU,SIGMA], "
+            "empirical or uniform:A,B"
+        )
+    if fits_sample:
         if ys is None:
-            raise ValueError("fit-normal needs sample data to fit against")
-        return fit_normal_map(ys)
-    if head == "empirical":
-        if sep:
-            raise ValueError("empirical takes no parameters")
-        if ys is None:
-            raise ValueError("empirical map needs sample data")
-        return empirical_map(ys)
-    if head == "uniform":
-        if not sep:
-            raise ValueError("uniform needs bounds, e.g. uniform:0,1")
-        a, b = _parse_pair(tail, "uniform")
-        return uniform_map(a, b)
-    raise ValueError(
-        f"unknown F spec {spec!r}; expected std-normal, fit-normal[:MU,SIGMA], "
-        "empirical or uniform:A,B"
-    )
-
-
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"{what} expects two comma-separated numbers, got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise ValueError(f"{what} parameters must be numeric, got {text!r}") from None
+            raise ValueError(f"F spec {spec!r} needs sample data")
+        return make(ys)
+    return make(*values)
 
 
 # Cephes ndtr.c with x = t / sqrt(2): erf(x) = x T(x^2) / U(x^2) for |x| < 1,

@@ -88,11 +88,9 @@ class Kernel:
     row_sums: Callable | None = None
 
     def label(self) -> str:
-        """Spec-string form, e.g. ``power:2`` or ``expsq``."""
-        if not self.params:
-            return self.name
-        args = ",".join(f"{v:g}" for v in self.params.values())
-        return f"{self.name}:{args}"
+        """The spec that ``parse_kernel_spec`` reads back, e.g. ``power:2`` or ``expsq``."""
+        args = ",".join(repr(v).removesuffix(".0") for v in self.params.values())
+        return f"{self.name}:{args}" if args else self.name
 
 
 def _require_positive_finite(value: float | None, symbol: str) -> float:
@@ -258,13 +256,20 @@ def _exp_ch(beta: float) -> float:
     return 1.0 - 2.0 / beta + 2.0 / (beta * beta) - 2.0 * math.exp(-beta) / (beta * beta)
 
 
+#: the parameter each builtin kernel takes, by kernel name
+_PARAMETERS = {"power": ("gamma",), "exp": ("beta",), "expsq": ()}
+
+
 def make_kernel(name: str, **params) -> Kernel:
     """A builtin kernel: ``power`` (gamma > 0), ``exp`` (beta > 0) or ``expsq``;
     a parameter that is missing or outside its domain raises ValueError."""
+    if name not in _PARAMETERS:
+        raise ValueError(f"unknown kernel {name!r}; expected power, exp or expsq")
+    values = [_require_positive_finite(params.pop(s, None), s) for s in _PARAMETERS[name]]
+    if params:
+        raise ValueError(f"unexpected {name}-kernel parameters: {sorted(params)}")
     if name == "power":
-        gamma = _require_positive_finite(params.pop("gamma", None), "gamma")
-        if params:
-            raise ValueError(f"unexpected power-kernel parameters: {sorted(params)}")
+        (gamma,) = values
         return Kernel(
             name="power",
             params={"gamma": gamma},
@@ -273,11 +278,9 @@ def make_kernel(name: str, **params) -> Kernel:
             row_sums=_power_row_sums(int(gamma)) if gamma in _INTEGER_POWERS else None,
         )
     if name == "exp":
-        beta = _require_positive_finite(params.pop("beta", None), "beta")
+        (beta,) = values
         if beta > _MAX_BETA:
             raise ValueError(f"beta must be at most {_MAX_BETA:g}, got {beta!r}")
-        if params:
-            raise ValueError(f"unexpected exp-kernel parameters: {sorted(params)}")
         return Kernel(
             name="exp",
             params={"beta": beta},
@@ -285,17 +288,13 @@ def make_kernel(name: str, **params) -> Kernel:
             closed_form_ch=_exp_ch(beta),
             row_sums=_exp_row_sums(beta),
         )
-    if name == "expsq":
-        if params:
-            raise ValueError(f"unexpected expsq-kernel parameters: {sorted(params)}")
-        return Kernel(
-            name="expsq",
-            eval=_expsq_eval,
-            # 2 * int e^{2u} du - 2 * (int e^u du)^2 over [0,1]
-            closed_form_ch=(math.e**2 - 1.0) - 2.0 * (math.e - 1.0) ** 2,
-            row_sums=_expsq_row_sums,
-        )
-    raise ValueError(f"unknown kernel {name!r}; expected power, exp or expsq")
+    return Kernel(
+        name="expsq",
+        eval=_expsq_eval,
+        # 2 * int e^{2u} du - 2 * (int e^u du)^2 over [0,1]
+        closed_form_ch=(math.e**2 - 1.0) - 2.0 * (math.e - 1.0) ** 2,
+        row_sums=_expsq_row_sums,
+    )
 
 
 def custom_kernel(
@@ -335,28 +334,20 @@ def custom_kernel(
 
 def parse_kernel_spec(spec: str) -> Kernel:
     """Parse CLI kernel grammar: ``power:GAMMA``, ``exp:BETA``, ``expsq``."""
-    head, sep, tail = spec.partition(":")
-    head = head.strip()
-    if head == "power":
-        if not sep:
-            raise ValueError("power kernel needs a parameter, e.g. power:1")
-        return make_kernel("power", gamma=_parse_float(tail, "gamma"))
-    if head == "exp":
-        if not sep:
-            raise ValueError("exp kernel needs a parameter, e.g. exp:0.5")
-        return make_kernel("exp", beta=_parse_float(tail, "beta"))
-    if head == "expsq":
-        if sep:
-            raise ValueError("expsq kernel takes no parameter")
-        return make_kernel("expsq")
-    raise ValueError(f"unknown kernel spec {spec!r}; expected power:G, exp:B or expsq")
+    name, values = _split_spec(spec)
+    symbols = _PARAMETERS.get(name, ())
+    if name in _PARAMETERS and len(values) != len(symbols):
+        raise ValueError(f"kernel spec {spec!r}: {name} takes {len(symbols)} parameter(s)")
+    return make_kernel(name, **dict(zip(symbols, values)))
 
 
-def _parse_float(text: str, symbol: str) -> float:
+def _split_spec(spec: str) -> tuple[str, list]:
+    """``NAME[:A[,B]]``, the grammar of kernel and map specs, as the name and its numbers."""
+    name, sep, numbers = spec.partition(":")
     try:
-        return float(text)
+        return name.strip(), [float(t) for t in numbers.split(",")] if sep else []
     except ValueError:
-        raise ValueError(f"could not parse {symbol} from {text!r}") from None
+        raise ValueError(f"spec {spec!r} has a parameter that is not a number") from None
 
 
 #: Gauss-Legendre nodes per panel axis, and the bisection sweeps allowed

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cdf import DistMap, resolve_dist_spec
 from .errors import DegenerateDataError, XiFamilyError
-from .estimator import VARIANTS, PairedSample, coefficient, pearson, spearman
+from .estimator import PairedSample, coefficient, pearson, spearman
 from .kernels import Kernel, parse_kernel_spec
 
 __all__ = [
@@ -54,9 +54,9 @@ SIGMA_INF = "inf"
 #: Batch means behind ``population_oracle``'s standard error.
 _ORACLE_BATCHES = 50
 
-#: Baselines the harness runs beside the family members in ``VARIANTS``.
-_BASELINES = ("pearson", "spearman")
-_METHODS = VARIANTS + _BASELINES
+#: The specs each method reads after its name: a kernel, then F. pearson
+#: and spearman are baselines the harness runs beside the family members.
+_SPEC_COUNTS = dict(plugin=2, rank=1, simplified=1, chatterjee=0, pearson=0, spearman=0)
 
 _MODEL_FUNCS = {
     "linear": lambda x: x,
@@ -141,26 +141,21 @@ class MethodConfig:
 
 
 def parse_method_spec(spec: str) -> MethodConfig:
-    """Parse ``VARIANT[,KERNEL[,F]]``, e.g. ``plugin,power:2,std-normal``."""
-    parts = [p.strip() for p in spec.split(",")]
-    variant = parts[0]
-    if variant not in _METHODS:
+    """Parse ``VARIANT[,KERNEL[,F]]``, e.g. ``plugin,power:2,uniform:-3,3``; F may hold commas."""
+    variant, *specs = [p.strip() for p in spec.split(",", 2)]
+    if variant not in _SPEC_COUNTS:
+        *names, last = _SPEC_COUNTS
+        raise ValueError(f"unknown method {variant!r}; expected {', '.join(names)} or {last}")
+    if len(specs) != _SPEC_COUNTS[variant]:
         raise ValueError(
-            f"unknown method {variant!r}; expected {', '.join(_METHODS[:-1])} or {_METHODS[-1]}"
+            f"method {spec!r}: {variant} takes {_SPEC_COUNTS[variant]} spec(s) after its name; "
+            "expected VARIANT[,KERNEL[,F]], e.g. plugin,power:1,std-normal or rank,power:1"
         )
-    if variant == "chatterjee" or variant in _BASELINES:
-        if len(parts) > 1:
-            raise ValueError(f"{variant} takes no kernel or F spec")
-        return MethodConfig(variant=variant)
-    if variant == "plugin":
-        if len(parts) != 3:
-            raise ValueError("plugin needs kernel and F specs, e.g. plugin,power:1,std-normal")
-        return MethodConfig(
-            variant="plugin", kernel=parse_kernel_spec(parts[1]), dist_spec=parts[2]
-        )
-    if len(parts) != 2:
-        raise ValueError(f"{variant} needs a kernel spec, e.g. {variant},power:1")
-    return MethodConfig(variant=variant, kernel=parse_kernel_spec(parts[1]))
+    return MethodConfig(
+        variant=variant,
+        kernel=parse_kernel_spec(specs[0]) if specs else None,
+        dist_spec=specs[1] if len(specs) == 2 else None,
+    )
 
 
 def generate(spec: ModelSpec) -> PairedSample:

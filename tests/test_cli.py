@@ -331,6 +331,27 @@ def test_compute_rejects_bad_gamma(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, spec", [
+    ("--h", "power"),
+    ("--h", "expsq:1"),
+    ("--h", "power:x"),
+    ("--f", "uniform:0"),
+    ("--f", "fit-normal:1"),
+    ("--method", "plugin,power:1"),
+])
+def test_malformed_spec_exits_2_with_one_line_naming_it(tmp_path, capsys, option, spec):
+    if option == "--method":
+        argv = ["simulate", "--model", "linear", "--n", "20", "--reps", "2"]
+    else:
+        path = write_csv(tmp_path / "d.csv", ["x", "y"], [[1.0, 2.0, 3.0], [0.2, 0.8, 0.5]])
+        argv = ["compute", "--file", path, "--x-col", "x", "--y-col", "y"]
+    assert main(argv + [option, spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(spec) in captured.err
+
+
 def test_compute_missing_column_exit_2(tmp_path, capsys):
     path = write_csv(tmp_path / "d.csv", ["x", "y"], [[1.0, 2.0], [0.2, 0.8]])
     code = main(["compute", "--file", path, "--x-col", "x", "--y-col", "z"])
@@ -582,15 +603,34 @@ def test_simulate_invalid_model_exit_2(capsys):
     assert code == 2
 
 
+def test_simulate_reads_map_parameters_in_a_method_spec(capsys):
+    # the F of a method spec keeps its commas; fit-normal:0,1 is the
+    # standard normal, so its cells equal std-normal's
+    code = main([
+        "simulate", "--model", "linear", "--n", "20", "--reps", "2",
+        "--method", "plugin,power:1,uniform:-3,3",
+        "--method", "plugin,power:1,fit-normal:0,1",
+        "--method", "plugin,power:1,std-normal",
+    ])
+    assert code == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert [row[0] for row in rows[1:]] == [
+        "plugin[F=uniform:-3,3]", "plugin[F=fit-normal:0,1]", "plugin[F=std-normal]",
+    ]
+    assert rows[2][2:] == rows[3][2:]
+
+
 def test_simulate_dump_round_trip(tmp_path, capsys):
     # coefficients stored in the manifest must be reproduced bit-for-bit
     # by cmd_compute on the dumped per-rep files, also after a rerun with
-    # another model and seed into the same directory
+    # another model and seed into the same directory; a kernel label keeps
+    # every digit of its parameter, and a plugin row names its F in brackets
     dump = tmp_path / "dump"
     out = tmp_path / "table.csv"
     runs = [
         ("linear", "0", ["simplified,power:1"]),
-        ("quadratic", "5", ["simplified,power:1", "rank,power:2"]),
+        ("quadratic", "5", ["simplified,power:1", "rank,power:2", "simplified,power:1.23456789",
+                            "plugin,exp:0.3,uniform:-3,3"]),
     ]
     for model, seed, methods in runs:
         code = main([
@@ -603,11 +643,12 @@ def test_simulate_dump_round_trip(tmp_path, capsys):
             manifest = list(csv.DictReader(fh))
         assert len(manifest) == 2 * len(methods)
         for row in manifest:
+            variant, _, dist = row["method"].partition("[F=")
             code = main([
                 "compute", "--file", str(dump / row["file"]),
                 "--x-col", "x", "--y-col", "y",
-                "--variant", row["method"], "--h", row["kernel"],
-                "--seed", row["seed"],
+                "--variant", variant, "--h", row["kernel"],
+                "--seed", row["seed"], *(["--f", dist[:-1]] if dist else []),
             ])
             assert code == 0
             xi = float(parse_kv(capsys.readouterr().out)["xi"])

@@ -4,6 +4,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xifamily import kernels
 from xifamily.errors import QuadratureError
@@ -251,3 +253,15 @@ def test_parse_kernel_spec():
 def test_label_round_trips():
     assert parse_kernel_spec("power:2").label() == "power:2"
     assert parse_kernel_spec("expsq").label() == "expsq"
+
+
+@given(st.one_of(
+    st.floats(0.0, exclude_min=True, allow_infinity=False).map(
+        lambda gamma: make_kernel("power", gamma=gamma)),
+    st.floats(0.0, kernels._MAX_BETA, exclude_min=True).map(
+        lambda beta: make_kernel("exp", beta=beta)),
+))
+@settings(max_examples=300, deadline=None)
+def test_label_parses_back(kernel):
+    # a label prints each parameter with every digit it needs, not six
+    assert parse_kernel_spec(kernel.label()).params == kernel.params

@@ -48,6 +48,7 @@ def test_parse_method_spec():
     assert cfg.dist_spec == "std-normal"
     assert parse_method_spec("simplified,power:1").variant == "simplified"
     assert parse_method_spec("pearson").variant == "pearson"
+    assert parse_method_spec("plugin,power:1,uniform:-3,3").dist_spec == "uniform:-3,3"
     with pytest.raises(ValueError):
         parse_method_spec("plugin,power:1")
     with pytest.raises(ValueError):
