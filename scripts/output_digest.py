@@ -8,11 +8,15 @@ over every kernel and map of the grid. Floats are hashed by their bits, a
 refusal by its error type and message, and a warning by its category and
 message. It prints one line per family and a total over all of them, so two
 checkouts give the same total exactly when every hashed output is bit for bit
-the same. The library is whatever ``xifamily`` is importable:
+the same. With ``--values`` it prints one ``family | call | outputs`` line per
+recorded call instead, floats by their shortest repr and arrays by a digest,
+so ``diff`` of two checkouts' lines lists every output that moved. The
+library is whatever ``xifamily`` is importable:
 
-    PYTHONPATH=src python scripts/output_digest.py
+    PYTHONPATH=src python scripts/output_digest.py [--values]
 """
 
+import argparse
 import hashlib
 import sys
 import warnings
@@ -97,24 +101,27 @@ def feed(hasher, value):
     hasher.update(b";")
 
 
-def record(hasher, call):
-    """Hash what ``call`` returns, raises and warns."""
+def outcome(call):
+    """What ``call`` returns, or its refusal's type and message, then what it warns."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             outputs = call()
         except XiFamilyError as exc:
             outputs = (type(exc).__name__, str(exc))
-    for value in outputs:
+    return [*outputs, *(f"{w.category.__name__}: {w.message}" for w in caught)]
+
+
+def record(hasher, call):
+    """Hash what ``call`` returns, raises and warns."""
+    for value in outcome(call):
         feed(hasher, value)
-    for w in caught:
-        feed(hasher, f"{w.category.__name__}: {w.message}")
 
 
-def family_digest(s, grid):
-    hasher = hashlib.sha256()
-    record(hasher, lambda: (order_by_x(s, TIE_SEED), ranks(s.ys)))
-    record(hasher, lambda: (spearman(s),))
+def calls(s, grid):
+    """``(label, call)`` for every output recorded on sample ``s``, in hashing order."""
+    yield "order_by_x, ranks", lambda: (order_by_x(s, TIE_SEED), ranks(s.ys))
+    yield "spearman", lambda: (spearman(s),)
     settings = [("chatterjee", "power:1", None)]
     for k in grid["kernels"]:
         settings += [("rank", k, None), ("simplified", k, None)]
@@ -122,46 +129,79 @@ def family_digest(s, grid):
     for variant, k, m in settings:
         h = kernel(k)
         d = None if m is None else dist(m, s.ys)
+        name = " ".join(part for part in (variant, k, m) if part)
 
-        def coef():
+        def coef(variant=variant, h=h, d=d):
             r = coefficient(s, variant, h, d, TIE_SEED)
             return (r.xi, r.zeta, r.normalization, r.variant, r.n, r.tie_seed, r.y_tied)
 
-        record(hasher, coef)
+        yield f"coefficient {name}", coef
         for continuous in (False, True):
 
-            def test():
+            def test(variant=variant, h=h, d=d, continuous=continuous):
                 t = independence_test(s, h, variant, d, TIE_SEED, continuous)
                 v = t.sigma2_used
                 return (t.z, v.sigma2, v.source, v.components, t.p_one_sided, t.p_two_sided)
 
-            record(hasher, test)
+            yield f"independence_test {name} continuous_y={continuous}", test
     for k in grid["kernels"]:
         for m in grid["maps"]:
 
-            def moments():
+            def moments(k=k, m=m):
                 v = sigma2_ustat(s.ys, kernel(k), dist(m, s.ys))
                 return (v.sigma2, v.source, v.components)
 
-            record(hasher, moments)
+            yield f"sigma2_ustat {k} {m}", moments
+
+
+def family_digest(s, grid):
+    hasher = hashlib.sha256()
+    for _, call in calls(s, grid):
+        record(hasher, call)
     return hasher.hexdigest()
+
+
+def families(grid):
+    """``(label, sample)`` of every family of ``grid``, in digest order."""
+    for n in grid["sizes"]:
+        for y_shape in grid["y_shapes"]:
+            for x_shape in grid["x_shapes"]:
+                yield f"n={n} y={y_shape} x={x_shape}", sample(n, y_shape, x_shape)
 
 
 def digests(grid):
     """``({family label: digest}, total)`` over every family of ``grid``."""
-    families = {}
-    for n in grid["sizes"]:
-        for y_shape in grid["y_shapes"]:
-            for x_shape in grid["x_shapes"]:
-                label = f"n={n} y={y_shape} x={x_shape}"
-                families[label] = family_digest(sample(n, y_shape, x_shape), grid)
-    total = hashlib.sha256("".join(f"{k}={v}\n" for k, v in families.items()).encode())
-    return families, total.hexdigest()
+    by_label = {label: family_digest(s, grid) for label, s in families(grid)}
+    total = hashlib.sha256("".join(f"{k}={v}\n" for k, v in by_label.items()).encode())
+    return by_label, total.hexdigest()
+
+
+def shown(value):
+    """An output as text: an array by a digest of its dtype, shape and bits."""
+    if isinstance(value, np.ndarray):
+        hasher = hashlib.sha256()
+        feed(hasher, value)
+        return f"array{value.shape} sha256:{hasher.hexdigest()[:16]}"
+    return repr(value)
+
+
+def value_lines(grid):
+    """One ``family | call | outputs`` line per recorded call of ``grid``."""
+    for label, s in families(grid):
+        for name, call in calls(s, grid):
+            yield f"{label} | {name} | {'; '.join(shown(v) for v in outcome(call))}"
 
 
 def main():
-    families, total = digests(GRID)
-    for label, digest in families.items():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--values", action="store_true",
+                        help="print every recorded output instead of the family digests")
+    if parser.parse_args().values:
+        for line in value_lines(GRID):
+            print(line)
+        return 0
+    by_label, total = digests(GRID)
+    for label, digest in by_label.items():
         print(f"{digest}  {label}")
     print(f"{total}  total")
     return 0

@@ -156,6 +156,16 @@ _DIST_SPECS = {
 def resolve_dist_spec(spec: str, ys=None) -> DistMap:
     """The map F of ``std-normal`` | ``fit-normal[:MU,SIGMA]`` | ``empirical`` |
     ``uniform:A,B``; ``fit-normal`` without numbers and ``empirical`` fit ``ys``."""
+    make, fits_sample, values = _dist_spec(spec)
+    if fits_sample:
+        if ys is None:
+            raise ValueError(f"F spec {spec!r} needs sample data")
+        return make(ys)
+    return make(*values)
+
+
+def _dist_spec(spec: str) -> tuple[Callable, bool, list]:
+    """``(make, fits_sample, values)`` of an F spec: its ``_DIST_SPECS`` entry and numbers."""
     name, values = _split_spec(spec)
     make, fits_sample = _DIST_SPECS.get((name, len(values)), (None, False))
     if make is None:
@@ -163,11 +173,7 @@ def resolve_dist_spec(spec: str, ys=None) -> DistMap:
             f"F spec {spec!r} is not one of std-normal, fit-normal[:MU,SIGMA], "
             "empirical or uniform:A,B"
         )
-    if fits_sample:
-        if ys is None:
-            raise ValueError(f"F spec {spec!r} needs sample data")
-        return make(ys)
-    return make(*values)
+    return make, fits_sample, values
 
 
 # Cephes ndtr.c with x = t / sqrt(2): erf(x) = x T(x^2) / U(x^2) for |x| < 1,

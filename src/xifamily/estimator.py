@@ -21,8 +21,10 @@ value as argsort does wherever the values are distinct.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -353,6 +355,19 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple:
     return total / (n * n), totals
 
 
+def _lattice_pair_mean(kernel: Kernel, n: int, squares: bool) -> tuple:
+    """``_pair_mean`` on 1/n, ..., 1, the rank-based variants' u on distinct y; the last
+    64 are kept by (eval, row_sums, n, squares) and the label a refusal names, unless
+    eval is unhashable. A refusal is not kept."""
+    memo = _lattice_memo if isinstance(kernel.eval, Hashable) else _lattice_memo.__wrapped__
+    return memo(kernel.eval, kernel.row_sums, n, squares, kernel.label())
+
+
+@functools.lru_cache(maxsize=64)
+def _lattice_memo(h: Callable, row_sums: Callable | None, n: int, squares: bool, label: str):
+    return _pair_mean(np.arange(1, n + 1) / n, Kernel(label, eval=h, row_sums=row_sums), squares)
+
+
 def _coefficient(
     sample: PairedSample,
     variant: str,
@@ -422,9 +437,10 @@ def _coefficient(
     take_totals = squares is not None and squares(y_tied)
     sum_chi = variant != "simplified" and gamma is None
     chi = totals = None
-    if sum_chi or take_totals:
-        if v is None:
-            v = (np.arange(1, n + 1) if r_sorted is None else r_sorted) / n
+    if (sum_chi or take_totals) and v is None and r_sorted is None:  # u = 1/n, ..., 1
+        chi, totals = _lattice_pair_mean(kernel, n, take_totals)
+    elif sum_chi or take_totals:
+        v = r_sorted / n if v is None else v
         del r_sorted
         chi, totals = _pair_mean(v, kernel, take_totals)
     if variant == "simplified":
@@ -481,6 +497,8 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     P = sum_{i,j} |R_i - R_j|^gamma (``_pair_power_sum``), zeta = G / n^(gamma+1),
     chi = P / n^(gamma+2) and xi = (P - n G) / P (1 when P = 0) are each an
     integer ratio rounded once; power:1 is Chatterjee's coefficient, bit for bit.
+    Other kernels' chi is a function of (kernel, n) on distinct y, kept after
+    the first call (``_lattice_pair_mean``), and a level table on few tied y.
     """
     return _coefficient(sample, "rank", kernel, tie_seed)[0]
 

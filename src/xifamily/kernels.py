@@ -21,14 +21,13 @@ All builtin kernels carry closed-form unit-square integrals
 used as the exact normalization of the simplified coefficient; custom
 kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
-The all-pairs sums behind chi and the U-statistic null variance take
-their values in ascending order and go through one dispatch,
-``_sorted_row_sums``. The kernels of the simulation study carry
-exact O(n log n) row-sum identities on the sorted sample: one
-integer-power routine serves power:1, power:2 and power:3, and expsq as
-power:2 on e^u; exp:beta keeps its decayed-sum recurrence. Every other
-kernel, other exponents included, is summed in row blocks of the upper
-triangle, O(n^2) work in O(n) memory.
+The all-pairs sums behind chi and the U-statistic null variance go
+through one dispatch on ascending values, ``_sorted_row_sums``. m levels
+with 1 < m, m^2 <= n take an m x m table weighted by the level counts,
+O(n + m^2). Else the study's kernels take exact O(n) row-sum identities:
+one integer-power routine serves power:1-3, and expsq as power:2 on e^u;
+exp:beta keeps its decayed-sum recurrence. Every other kernel is summed in
+row blocks of the upper triangle, O(n^2) work in O(n) memory.
 """
 
 from __future__ import annotations
@@ -403,10 +402,24 @@ def _sorted_row_sums(v: np.ndarray, kernel: Kernel, squares: bool = False):
 
     S_i = sum_{j != i} h(v_i, v_j) and, when ``squares`` is set,
     Q_i = sum_{j != i} h(v_i, v_j)^2 (else Q is None), in the order of v.
-    Kernels with a ``row_sums`` hook take an exact O(n) identity, any other
-    kernel row blocks of the upper triangle. Each S_i and Q_i is within
-    1e-12 relative of the exactly rounded sum of its kernel values.
+    m distinct levels L_a with counts c_a, 1 < m and m^2 <= n, take the table
+    T_ab = h(L_a, L_b): a value at level a has S = sum_b c_b T_ab - T_aa and Q
+    the same over T_ab^2, O(n + m^2), added by numpy's sum, whose order, unlike
+    a BLAS product's, does not depend on the build. One level is left to the
+    paths below, whose rounding decides whether a kernel with a nonzero
+    diagonal leaves a constant sample a null variance above 0. Otherwise
+    kernels with a ``row_sums`` hook take an exact O(n) identity, any other
+    kernel row blocks of the upper triangle. Each S_i and Q_i is within 1e-12
+    relative of the exactly rounded sum of its kernel values.
     """
+    steps = v[1:] != v[:-1]
+    if 1 < (np.count_nonzero(steps) + 1) ** 2 <= v.size:
+        starts = np.flatnonzero(np.concatenate(([True], steps)))
+        counts = np.concatenate((starts[1:], [v.size])) - starts
+        table = np.asarray(kernel.eval(v[starts, None], v[None, starts]), dtype=float)
+        parts = [table, np.square(table)] if squares else [table]
+        sums = [np.repeat((p * counts).sum(axis=1) - p.diagonal(), counts) for p in parts]
+        return sums[0], sums[1] if squares else None
     if kernel.row_sums is None:
         return _blocked_row_sums(v, kernel.eval, squares)
     return kernel.row_sums(v, squares)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cdf import DistMap, resolve_dist_spec
+from .cdf import DistMap, _dist_spec, resolve_dist_spec
 from .errors import DegenerateDataError, XiFamilyError
 from .estimator import PairedSample, coefficient, pearson, spearman
 from .kernels import Kernel, parse_kernel_spec
@@ -151,6 +151,10 @@ def parse_method_spec(spec: str) -> MethodConfig:
             f"method {spec!r}: {variant} takes {_SPEC_COUNTS[variant]} spec(s) after its name; "
             "expected VARIANT[,KERNEL[,F]], e.g. plugin,power:1,std-normal or rank,power:1"
         )
+    if len(specs) == 2:  # F is refused here, before a sample is drawn or written
+        make, fits_sample, values = _dist_spec(specs[1])
+        if not fits_sample:
+            make(*values)
     return MethodConfig(
         variant=variant,
         kernel=parse_kernel_spec(specs[0]) if specs else None,

@@ -620,6 +620,20 @@ def test_simulate_reads_map_parameters_in_a_method_spec(capsys):
     assert rows[2][2:] == rows[3][2:]
 
 
+@pytest.mark.parametrize("f_spec", ["uniform:0", "uniform:3,1", "normal"])
+def test_simulate_refuses_a_bad_f_before_writing_a_sample(tmp_path, capsys, f_spec):
+    # the F of every method is checked before the dump directory is made
+    dump = tmp_path / "dump"
+    code = main([
+        "simulate", "--model", "linear", "--n", "20", "--reps", "3",
+        "--method", "simplified,power:1", "--method", f"plugin,power:1,{f_spec}",
+        "--dump-dir", str(dump),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dump.exists()
+
+
 def test_simulate_dump_round_trip(tmp_path, capsys):
     # coefficients stored in the manifest must be reproduced bit-for-bit
     # by cmd_compute on the dumped per-rep files, also after a rerun with

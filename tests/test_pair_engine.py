@@ -22,8 +22,10 @@ path, under the same tolerances, which ``_sorted_row_sums`` also promises for
 every single row.
 """
 
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +41,14 @@ from xifamily.estimator import (
     _LEVELS,
     PairedSample,
     _fsum,
+    _lattice_memo,
+    _lattice_pair_mean,
     _mid_ranks,
+    _pair_mean,
     order_by_x,
     ranks,
     xi_plugin,
+    xi_rank,
 )
 from xifamily.inference import independence_test, sigma2_ustat
 from xifamily.kernels import _sorted_row_sums, custom_kernel, make_kernel
@@ -311,6 +317,98 @@ def test_exp_row_sums_for_steep_kernels():
         np.fill_diagonal(values, 0.0)
         np.testing.assert_allclose(sums, values.sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(squares, np.square(values).sum(axis=1), rtol=1e-12)
+
+
+# ------------------------------------------------ few levels and the lattice
+#
+# Values with m distinct levels, m^2 <= n, take their row sums from the m x m
+# table of h between the levels; one level more takes the hook or the blocked
+# path. Rank-based variants on distinct y read chi and the totals on
+# 1/n, ..., 1 from a memo that must return _pair_mean's bits.
+
+
+def load_output_digest():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LEVEL_KERNELS = (
+    [make_kernel("power", gamma=g) for g in (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    + [make_kernel("exp", beta=b) for b in (0.05, 1.0, 200.0)]
+    + [make_kernel("expsq"), load_output_digest().CUSTOM]
+)
+
+
+@given(
+    st.integers(5, 300),
+    st.sampled_from(["1", "2", "5", "sqrt", "sqrt+1"]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(LEVEL_KERNELS),
+)
+@settings(max_examples=300, deadline=None)
+def test_level_row_sums_match_fsum_oracle(n, levels, seed, kernel):
+    m = {"sqrt": math.isqrt(n), "sqrt+1": math.isqrt(n) + 1}.get(levels) or int(levels)
+    rng = np.random.default_rng(seed)
+    points = rng.random(m)
+    v = np.sort(np.concatenate((points, rng.choice(points, n - m))))
+    sums, squares = _sorted_row_sums(v, kernel, squares=True)
+    values = np.asarray(kernel.eval(v[:, None], v[None, :]), dtype=float)
+    np.fill_diagonal(values, 0.0)
+    for i in range(n):
+        assert_close(sums[i], math.fsum(values[i].tolist()), MOMENT_REL_TOL, f"S {kernel.label()}")
+        exact = math.fsum(np.square(values[i]).tolist())
+        assert_close(squares[i], exact, MOMENT_REL_TOL, f"Q {kernel.label()}")
+
+
+@pytest.mark.parametrize("kernel", LEVEL_KERNELS, ids=lambda k: k.label())
+def test_lattice_memo_keeps_pair_mean_bits(kernel):
+    for n in (2, 3, 50, 1000):
+        for squares in (False, True):
+            fresh = _pair_mean(np.arange(1, n + 1) / n, kernel, squares)
+            assert _lattice_pair_mean(kernel, n, squares) == fresh
+            assert _lattice_pair_mean(kernel, n, squares) == fresh  # from the memo
+
+
+def test_lattice_memo_keeps_kernels_apart():
+    _lattice_memo.cache_clear()
+    gentle, steep = make_kernel("exp", beta=1.0), make_kernel("exp", beta=2.0)
+    first = _lattice_pair_mean(gentle, 100, True)
+    second = _lattice_pair_mean(steep, 100, True)
+    assert _lattice_memo.cache_info().currsize == 2
+    assert first != second
+    assert second == _pair_mean(np.arange(1, 101) / 100, steep, True)
+
+
+def test_kernel_zero_off_the_diagonal_is_refused_on_every_call():
+    zero = custom_kernel("zero", lambda y, z: np.zeros(np.broadcast(y, z).shape))
+    sample = PairedSample(xs=np.arange(20.0), ys=np.random.default_rng(4).random(20))
+    _lattice_memo.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DegenerateDataError, match="kernel zero is 0"):
+            xi_rank(sample, zero)
+        with pytest.raises(DegenerateDataError, match="kernel zero is 0"):
+            independence_test(sample, zero, "rank")
+    assert _lattice_memo.cache_info().currsize == 0
+
+
+def test_unhashable_eval_takes_the_lattice_uncached():
+    class Gap:  # __eq__ alone leaves instances unhashable
+        def __eq__(self, other):
+            return isinstance(other, Gap)
+
+        def __call__(self, y, z):
+            return np.abs(np.subtract(y, z)) ** 1.5
+
+    sample = PairedSample(xs=np.arange(40.0), ys=np.random.default_rng(6).random(40))
+    hashable = custom_kernel("gap", lambda y, z: np.abs(np.subtract(y, z)) ** 1.5)
+    _lattice_memo.cache_clear()
+    got = independence_test(sample, custom_kernel("gap", Gap()), "rank")
+    assert _lattice_memo.cache_info().currsize == 0
+    assert got == independence_test(sample, hashable, "rank")
 
 
 # ------------------------------------------------------- average ranks

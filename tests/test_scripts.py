@@ -103,6 +103,32 @@ def test_output_digest_runs():
     assert digest.digests(grid) == (families, total)
 
 
+def test_output_digest_values_lists_every_recorded_call(monkeypatch, capsys):
+    digest = load_output_digest()
+    grid = {
+        "kernels": ["power:1", "custom"],
+        "maps": ["empirical"],
+        "y_shapes": ["distinct", "constant"],
+        "x_shapes": ["distinct"],
+        "sizes": [7],
+    }
+    lines = list(digest.value_lines(grid))
+    # per family: the orders, spearman, chatterjee, then per kernel rank, simplified
+    # and one plugin (a coefficient and two tests each), and one sigma2_ustat per map
+    assert len(lines) == 2 * (2 + 3 + 2 * 3 * 3 + 2)
+    assert all(line.count(" | ") >= 2 for line in lines)
+    family, call, outputs = lines[0].split(" | ", 2)
+    assert (family, call) == ("n=7 y=distinct x=distinct", "order_by_x, ranks")
+    assert re.fullmatch(r"array\(7,\) sha256:[0-9a-f]{16}; array\(7,\) sha256:[0-9a-f]{16}", outputs)
+    assert "n=7 y=distinct x=distinct | spearman | " in lines[1]
+    refused = "n=7 y=constant x=distinct | coefficient chatterjee power:1 | 'DegenerateDataError'; "
+    assert any(line.startswith(refused) for line in lines)
+    monkeypatch.setattr(digest, "GRID", grid)
+    monkeypatch.setattr(sys, "argv", ["output_digest.py", "--values"])
+    assert digest.main() == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_count_lines_splits_code_from_docstrings():
     spec = importlib.util.spec_from_file_location("count_lines", ROOT / "scripts" / "count_lines.py")
     counter = importlib.util.module_from_spec(spec)
