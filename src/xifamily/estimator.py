@@ -336,9 +336,11 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple:
     """For ascending v: chi, the mean kernel value over all n^2 ordered pairs
     (diagonal included), and, for ``squares``, the exactly rounded totals of the
     off-diagonal row sums S of h and Q of h^2: (sum S, sum Q, sum (S^2 - Q)),
-    else None. One row-sum pass gives both. A kernel that is 0 between every two
-    values, though they differ, is refused."""
+    else None. One row-sum pass gives both. Totals over one value, and a kernel 0
+    between every two values though they differ, are refused."""
     n = v.size
+    if squares and v[0] == v[-1]:
+        raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sums, sq_sums = _sorted_row_sums(v, kernel, squares)
     if v[0] != v[-1] and not sums.any():
         raise DegenerateDataError(
@@ -498,7 +500,7 @@ def xi_rank(sample: PairedSample, kernel: Kernel, tie_seed: int = 0) -> Coeffici
     chi = P / n^(gamma+2) and xi = (P - n G) / P (1 when P = 0) are each an
     integer ratio rounded once; power:1 is Chatterjee's coefficient, bit for bit.
     Other kernels' chi is a function of (kernel, n) on distinct y, kept after
-    the first call (``_lattice_pair_mean``), and a level table on few tied y.
+    the first call (``_lattice_pair_mean``), and summed over the levels on tied y.
     """
     return _coefficient(sample, "rank", kernel, tie_seed)[0]
 

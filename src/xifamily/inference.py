@@ -121,8 +121,6 @@ def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> Variance
     m = totals[0] / pairs
     q = totals[1] / pairs
     r = totals[2] / (pairs * (n - 2))
-    if totals[0] == 0.0:  # every h_ij = 0, which _pair_mean refuses on values that differ
-        raise DegenerateDataError("degenerate Y under F: all mapped values coincide")
     sigma2 = (q - 2.0 * r + m * m) / (m * m) if m * m > 0.0 else math.nan
     if not sigma2 > 0.0:  # NaN too, from totals that overflowed or an m^2 that underflowed
         raise NumericError(
@@ -152,9 +150,9 @@ def independence_test(
     pairwise normalization of continuous y only. Bad arguments raise the
     ``ValueError`` that ``coefficient`` raises.
     """
+    _check_arguments(variant, kernel, dist)
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
-    _check_arguments(variant, kernel, dist)
     if variant == "chatterjee":
         kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
     gamma = kernel.params.get("gamma")

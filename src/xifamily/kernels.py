@@ -22,12 +22,12 @@ used as the exact normalization of the simplified coefficient; custom
 kernels fall back to adaptive quadrature (``integrate_unit_square``).
 
 The all-pairs sums behind chi and the U-statistic null variance go
-through one dispatch on ascending values, ``_sorted_row_sums``. m levels
-with 1 < m, m^2 <= n take an m x m table weighted by the level counts,
-O(n + m^2). Else the study's kernels take exact O(n) row-sum identities:
-one integer-power routine serves power:1-3, and expsq as power:2 on e^u;
-exp:beta keeps its decayed-sum recurrence. Every other kernel is summed in
-row blocks of the upper triangle, O(n^2) work in O(n) memory.
+through one dispatch on ascending values, ``_sorted_row_sums``. On more
+than sqrt(n) distinct values the study's kernels take exact O(n) row-sum
+identities: one integer-power routine serves power:1-3, and expsq as
+power:2 on e^u; exp:beta keeps its decayed-sum recurrence. Everything else
+is summed in row blocks over the m distinct values weighted by their
+counts, O(n + m^2) work in O(n) memory.
 """
 
 from __future__ import annotations
@@ -402,51 +402,40 @@ def _sorted_row_sums(v: np.ndarray, kernel: Kernel, squares: bool = False):
 
     S_i = sum_{j != i} h(v_i, v_j) and, when ``squares`` is set,
     Q_i = sum_{j != i} h(v_i, v_j)^2 (else Q is None), in the order of v.
-    m distinct levels L_a with counts c_a, 1 < m and m^2 <= n, take the table
-    T_ab = h(L_a, L_b): a value at level a has S = sum_b c_b T_ab - T_aa and Q
-    the same over T_ab^2, O(n + m^2), added by numpy's sum, whose order, unlike
-    a BLAS product's, does not depend on the build. One level is left to the
-    paths below, whose rounding decides whether a kernel with a nonzero
-    diagonal leaves a constant sample a null variance above 0. Otherwise
-    kernels with a ``row_sums`` hook take an exact O(n) identity, any other
-    kernel row blocks of the upper triangle. Each S_i and Q_i is within 1e-12
-    relative of the exactly rounded sum of its kernel values.
+    A kernel with a ``row_sums`` hook on more than sqrt(n) distinct values
+    takes its exact O(n) identity. Everything else is summed over the m
+    distinct values L_a with counts c_a, O(n + m^2): a value at L_a has
+    S = sum_b c_b T_ab - T_aa with T_ab = h(L_a, L_b), and Q the same over
+    T_ab^2 (no weights when m = n). Blocks of rows a, of about ``BLOCK``
+    values at most, are evaluated against the columns b at and after them;
+    the column sums past a block, weighted by c_a, go to rows b. numpy's
+    sums add them, whose order, unlike a BLAS product's, does not depend on
+    the build. Each S_i and Q_i is within 1e-12 relative of the exactly
+    rounded sum of its kernel values.
     """
     steps = v[1:] != v[:-1]
-    if 1 < (np.count_nonzero(steps) + 1) ** 2 <= v.size:
-        starts = np.flatnonzero(np.concatenate(([True], steps)))
-        counts = np.concatenate((starts[1:], [v.size])) - starts
-        table = np.asarray(kernel.eval(v[starts, None], v[None, starts]), dtype=float)
-        parts = [table, np.square(table)] if squares else [table]
-        sums = [np.repeat((p * counts).sum(axis=1) - p.diagonal(), counts) for p in parts]
-        return sums[0], sums[1] if squares else None
-    if kernel.row_sums is None:
-        return _blocked_row_sums(v, kernel.eval, squares)
-    return kernel.row_sums(v, squares)
-
-
-def _blocked_row_sums(v: np.ndarray, h: Callable, squares: bool):
-    """Row sums over j != i from blocks of rows of the upper triangle.
-
-    The block of rows i in [start, stop) is evaluated against columns
-    j >= start. Its row sums (diagonal zeroed) go to rows i, and its column
-    sums over j >= stop go to rows j, so each pair outside the square head
-    of a block is evaluated once, and no block holds more than about
-    ``BLOCK`` values.
-    """
-    n = v.size
-    rows = max(1, BLOCK // n)
-    sums = np.zeros(n)
-    squared = np.zeros(n) if squares else None
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = np.asarray(h(v[start:stop, None], v[None, start:]), dtype=float)
-        np.fill_diagonal(block, 0.0)
+    m = np.count_nonzero(steps) + 1
+    if kernel.row_sums is not None and m * m > v.size:
+        return kernel.row_sums(v, squares)
+    tied = m < v.size
+    bounds = np.flatnonzero(np.concatenate(([True], steps, [True])))
+    counts = bounds[1:] - bounds[:-1]
+    levels = v[bounds[:-1]]
+    rows = max(1, BLOCK // m)
+    totals = np.zeros((1 + squares, m))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        block = np.asarray(kernel.eval(levels[start:stop, None], levels[None, start:]), dtype=float)
         parts = [block, np.square(block)] if squares else [block]
-        for values, total in zip(parts, (sums, squared)):
-            total[start:stop] += values.sum(axis=1)
-            total[stop:] += values[:, stop - start :].sum(axis=0)
-    return sums, squared
+        for values, total in zip(parts, totals):
+            weighted = values * counts[start:] if tied else values
+            total[start:stop] += weighted.sum(axis=1) - values.diagonal()
+            if stop < m:
+                past = values[:, stop - start :]
+                total[stop:] += (counts[start:stop, None] * past if tied else past).sum(axis=0)
+    if tied:
+        totals = np.repeat(totals, counts, axis=1)
+    return totals[0], totals[1] if squares else None
 
 
 def normalization_constant(kernel: Kernel) -> float:

@@ -390,7 +390,7 @@ def test_moments_add_three_exact_sums_over_n(monkeypatch, variant, spec, f):
 def test_custom_kernel_sum_and_evaluation_counts(monkeypatch):
     # chi adds S once, together with the diagonal it counts; the moments add
     # S, Q and S^2 - Q, and chi comes with them: one O(n) diagonal evaluation
-    # and one sum of 2n values, beside the O(n^2) blocked row sums
+    # and one sum of 2n values, beside the row sums summed in blocks
     n = 300
     s = _independent_sample(n, 10)
     sizes, vector_evals = [], []
@@ -425,12 +425,14 @@ def test_custom_kernel_sum_and_evaluation_counts(monkeypatch):
     ],
 )
 def test_test_and_coefficient_refuse_bad_arguments_alike(variant, kernel, dist):
-    s = _independent_sample(50, 11)
-    with pytest.raises(ValueError) as by_coefficient:
-        coefficient(s, variant, kernel, dist)
-    with pytest.raises(ValueError) as by_test:
-        independence_test(s, kernel, variant, dist)
-    assert str(by_test.value) == str(by_coefficient.value)
+    # the arguments are checked first, also on a sample too small to test
+    for n in (50, 2):
+        s = _independent_sample(n, 11)
+        with pytest.raises(ValueError) as by_coefficient:
+            coefficient(s, variant, kernel, dist)
+        with pytest.raises(ValueError) as by_test:
+            independence_test(s, kernel, variant, dist)
+        assert str(by_test.value) == str(by_coefficient.value)
 
 
 @pytest.mark.parametrize("spec", ROW_SUM_KERNELS + ["custom"])

@@ -5,9 +5,10 @@ The library adds its sums with ``estimator._fsum``, which must return
 
 ``kernels._sorted_row_sums`` serves chi (``xi_plugin`` / ``xi_rank``) and the
 U-statistic moments (``sigma2_ustat``) through exact fast paths for the
-builtin kernels and a blocked path for everything else. The oracle below is
-the definition evaluated one row at a time with ``math.fsum``: exactly
-rounded sums of the kernel values, independent of evaluation order.
+builtin kernels and blocked sums over the distinct values for everything
+else. The oracle below is the definition evaluated one row at a time with
+``math.fsum``: exactly rounded sums of the kernel values, independent of
+evaluation order.
 
 Tolerances, relative to the oracle:
 * chi, m, q and r: 1e-12 (the fast paths measure within a few 1e-16, and
@@ -18,7 +19,7 @@ Tolerances, relative to the oracle:
 The oracle is too slow beyond a few hundred points, while the rounding error
 of the prefix sums grows with n; the integer-power routine (power:1,
 power:2, power:3 and expsq) is also checked at n=5000 against the blocked
-path, under the same tolerances, which ``_sorted_row_sums`` also promises for
+sums, under the same tolerances, which ``_sorted_row_sums`` also promises for
 every single row.
 """
 
@@ -129,7 +130,7 @@ def test_chi_matches_fsum_oracle(u, kernel):
 @settings(max_examples=200, deadline=None)
 def test_ustat_moments_match_fsum_oracle(u, kernel):
     m, q, r = oracle_moments(u, kernel)
-    if m == 0.0:
+    if m == 0.0 or u.min() == u.max():
         with pytest.raises(DegenerateDataError):
             sigma2_ustat(u, kernel, IDENTITY)
         return
@@ -142,10 +143,7 @@ def test_ustat_moments_match_fsum_oracle(u, kernel):
         return
     for name, got, exact in zip("mqr", est.components, (m, q, r)):
         assert_close(got, exact, MOMENT_REL_TOL, f"{name} {kernel.label()}")
-    if np.ptp(u) > 0.0:
-        # (a constant sample under the offset kernel has sigma^2 = 0 exactly,
-        # and both sides are rounding residue of q - 2r + m^2)
-        assert_close(est.sigma2, sigma2, SIGMA2_REL_TOL, f"sigma2 {kernel.label()}")
+    assert_close(est.sigma2, sigma2, SIGMA2_REL_TOL, f"sigma2 {kernel.label()}")
     # the row sums depend only on the sorted sample: order cannot move a bit
     assert sigma2_ustat(u[::-1], kernel, IDENTITY).components == est.components
 
@@ -170,6 +168,21 @@ def test_constant_sample_is_exactly_degenerate(kernel, value):
     assert result.xi == 1.0
     with pytest.raises(DegenerateDataError, match="degenerate Y"):
         sigma2_ustat(u, kernel, IDENTITY)
+
+
+@pytest.mark.parametrize("n", [7, 50, 1000])
+def test_constant_sample_is_refused_under_a_nonzero_diagonal(n):
+    # sigma^2 is 0 exactly; the rounding residue of q - 2r + m^2 must not
+    # decide between a refusal and a huge z
+    kernel = load_output_digest().CUSTOM
+    ys = np.full(n, 2.5)
+    sample = PairedSample(xs=np.arange(float(n)), ys=ys)
+    coincide = "all mapped values coincide"
+    for variant, dist in [("rank", None), ("plugin", resolve_dist_spec("std-normal", ys))]:
+        with pytest.raises(DegenerateDataError, match=coincide):
+            independence_test(sample, kernel, variant, dist)
+    with pytest.raises(DegenerateDataError, match=coincide):
+        sigma2_ustat(ys, kernel, empirical_map(ys))
 
 
 def test_custom_diagonal_counts_in_chi_only():
@@ -217,8 +230,8 @@ def test_power_routine_matches_blocked_path_at_large_n(shape, kernel):
         # e^(1e3 + U) overflows in Kernel.eval itself. An offset c only
         # scales e^u by e^c, and h^2 ~ e^(4c) must stay finite: c = 50.
         u = u - 950.0
-    assert kernel.row_sums is not None  # otherwise both sides are the blocked path
-    # the same eval without a row-sum hook: summed on the blocked path
+    assert kernel.row_sums is not None  # otherwise both sides are the blocked sums
+    # the same eval without a row-sum hook: summed in blocks
     blocked = custom_kernel(f"blocked {kernel.label()}", kernel.eval)
     v = np.sort(u)
     for got, exact in zip(
@@ -301,7 +314,7 @@ def test_ranked_variance_at_packed_sort_size(shape, variant):
 
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 3.0, 0.5, 1.5, 2.0000001, 4.0])
 def test_exact_path_only_for_checked_exponents(gamma):
-    # only gamma = 1, 2, 3 are checked against the blocked path above;
+    # only gamma = 1, 2, 3 are checked against the blocked sums above;
     # other exponents must not silently take the expansion
     has_hook = make_kernel("power", gamma=gamma).row_sums is not None
     assert has_hook == (gamma in (1.0, 2.0, 3.0))
@@ -321,10 +334,10 @@ def test_exp_row_sums_for_steep_kernels():
 
 # ------------------------------------------------ few levels and the lattice
 #
-# Values with m distinct levels, m^2 <= n, take their row sums from the m x m
-# table of h between the levels; one level more takes the hook or the blocked
-# path. Rank-based variants on distinct y read chi and the totals on
-# 1/n, ..., 1 from a memo that must return _pair_mean's bits.
+# Values with m distinct levels take their row sums from blocks of h between
+# the levels, weighted by the level counts, unless m^2 > n and the kernel has
+# a row-sum hook. Rank-based variants on distinct y read chi and the totals
+# on 1/n, ..., 1 from a memo that must return _pair_mean's bits.
 
 
 def load_output_digest():
@@ -343,25 +356,61 @@ LEVEL_KERNELS = (
 )
 
 
+def leveled(n, m, seed):
+    """n ascending values on m distinct levels in [0, 1), each level taken."""
+    rng = np.random.default_rng(seed)
+    points = rng.random(m)
+    return np.sort(np.concatenate((points, rng.choice(points, n - m))))
+
+
+def check_level_row_sums(v, kernel):
+    # every row at level a against math.fsum of c_b h(L_a, L_b) over the
+    # levels b, less the value's pair with itself; each product c_b h is
+    # rounded once, far inside the tolerance
+    sums, squares = _sorted_row_sums(v, kernel, squares=True)
+    levels, first, counts = np.unique(v, return_index=True, return_counts=True)
+    table = np.asarray(kernel.eval(levels[:, None], levels[None, :]), dtype=float)
+    for a, start in enumerate(first):
+        rows = slice(start, start + counts[a])
+        for name, got, terms in [("S", sums, table[a]), ("Q", squares, np.square(table[a]))]:
+            exact = math.fsum((terms * counts).tolist() + [-terms[a]])
+            for value in got[rows]:
+                assert_close(value, exact, MOMENT_REL_TOL, f"{name} {kernel.label()}")
+
+
 @given(
     st.integers(5, 300),
-    st.sampled_from(["1", "2", "5", "sqrt", "sqrt+1"]),
+    st.sampled_from(["1", "2", "5", "sqrt", "sqrt+1", "n/3", "n"]),
     st.integers(0, 2**32 - 1),
     st.sampled_from(LEVEL_KERNELS),
 )
 @settings(max_examples=300, deadline=None)
 def test_level_row_sums_match_fsum_oracle(n, levels, seed, kernel):
-    m = {"sqrt": math.isqrt(n), "sqrt+1": math.isqrt(n) + 1}.get(levels) or int(levels)
-    rng = np.random.default_rng(seed)
-    points = rng.random(m)
-    v = np.sort(np.concatenate((points, rng.choice(points, n - m))))
-    sums, squares = _sorted_row_sums(v, kernel, squares=True)
-    values = np.asarray(kernel.eval(v[:, None], v[None, :]), dtype=float)
-    np.fill_diagonal(values, 0.0)
-    for i in range(n):
-        assert_close(sums[i], math.fsum(values[i].tolist()), MOMENT_REL_TOL, f"S {kernel.label()}")
-        exact = math.fsum(np.square(values[i]).tolist())
-        assert_close(squares[i], exact, MOMENT_REL_TOL, f"Q {kernel.label()}")
+    m = {"sqrt": math.isqrt(n), "sqrt+1": math.isqrt(n) + 1, "n/3": n // 3, "n": n}.get(levels)
+    check_level_row_sums(leveled(n, m or int(levels), seed), kernel)
+
+
+@pytest.mark.parametrize("kernel", LEVEL_KERNELS, ids=lambda k: k.label())
+@pytest.mark.parametrize("m", [math.isqrt(20_000), 200])
+def test_level_row_sums_across_blocks(m, kernel):
+    # more levels than a block holds rows: the column sums past each block
+    # reach later rows; at sqrt(n) levels the hooked kernels take blocks too
+    assert m > BLOCK // m
+    check_level_row_sums(leveled(20_000, m, 11), kernel)
+
+
+def test_tied_values_are_evaluated_once_per_level_pair():
+    evaluated = []
+
+    def counted(y, z):
+        evaluated.append(np.broadcast(y, z).size)
+        return np.abs(np.subtract(y, z)) ** 1.5
+
+    kernel = custom_kernel("counted", counted)
+    evaluated.clear()  # the validation grid
+    m = 2000
+    _sorted_row_sums(leveled(20_000, m, 12), kernel, squares=True)
+    assert sum(evaluated) < 3 * m * m
 
 
 @pytest.mark.parametrize("kernel", LEVEL_KERNELS, ids=lambda k: k.label())
