@@ -34,7 +34,7 @@ from . import _sorting
 from ._sorting import BLOCK, blocks, gathered, packed_sort, scatter_ramp, settle, sort_order
 from .cdf import DistMap, _centred
 from .errors import DegenerateDataError, NumericError
-from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, normalization_constant
+from .kernels import _INTEGER_POWERS, Kernel, _sorted_row_sums, make_kernel, normalization_constant
 
 __all__ = [
     "VARIANTS",
@@ -118,17 +118,10 @@ def order_by_x(sample: PairedSample, tie_seed: int = 0) -> np.ndarray:
     (sample, tie_seed); O(n log n).
     """
     _check_tie_seed(tie_seed)
-    return _order_and_x_tied(sample, tie_seed)[0]
-
-
-def _order_and_x_tied(sample: PairedSample, tie_seed: int) -> tuple[np.ndarray, bool]:
-    """``order_by_x``'s permutation and whether two x's are equal."""
-    xs = sample.xs
-    perm, ordered = sort_order(xs)
-    x_tied = bool(np.any(ordered[1:] == ordered[:-1]))
-    if x_tied:
+    perm, ordered = sort_order(sample.xs)
+    if np.any(ordered[1:] == ordered[:-1]):
         perm = _x_tie_break(sample, tie_seed)
-    return perm, x_tied
+    return perm
 
 
 def _check_tie_seed(tie_seed) -> None:
@@ -176,9 +169,8 @@ def _ranked(order: np.ndarray, ordered: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _ranks_in_x_order(
     sample: PairedSample, tie_seed: int
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """``(ranks(ys)[order_by_x(sample, tie_seed)], max_ranks, x_tied)``, with
-    ``_ranked``'s ``max_ranks`` and ``x_tied`` whether two x's are equal.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(ranks(ys)[order_by_x(sample, tie_seed)], max_ranks)``, ``_ranked``'s max-ranks.
 
     From ``_PACKED_SORT_MIN`` values on, two ``packed_sort``s that ``settle``
     strips to their tags, and no gather: y's indices sorted by y give y's
@@ -202,12 +194,11 @@ def _ranks_in_x_order(
             packed_sort(xs, r_ordered)
             if not settle(r_ordered, lambda ranks: xs.take(y_order.take(ranks))):
                 r_ordered += 1
-                return r_ordered, None, False
+                return r_ordered, None
             scatter_ramp(r_ordered, y_order, 1)  # now ranks(ys), by index
             del y_order  # freed before the tie-break sorts
-            return r_ordered[_x_tie_break(sample, tie_seed)], None, True
-    permutation, x_tied = _order_and_x_tied(sample, tie_seed)
-    return r[permutation], max_ranks, x_tied
+            return r_ordered[_x_tie_break(sample, tie_seed)], None
+    return r[order_by_x(sample, tie_seed)], max_ranks
 
 
 #: below this many values math.fsum beats the numpy calls of _fsum
@@ -397,7 +388,7 @@ def _coefficient(
     that no caller holds the integer ranks while the sums run.
     """
     n = sample.n
-    gamma = 1 if variant == "chatterjee" else _exact_gap_power(kernel, n)
+    gamma = _exact_gap_power(kernel, n)
     if variant == "simplified":
         c_h = normalization_constant(kernel)
         if c_h <= 0.0:
@@ -418,12 +409,8 @@ def _coefficient(
             gamma, ordered = None, u[permutation]
         del permutation
     else:
-        ordered, r_sorted, x_tied = _ranks_in_x_order(sample, tie_seed)
+        ordered, r_sorted = _ranks_in_x_order(sample, tie_seed)
         y_tied = r_sorted is not None
-        if variant == "chatterjee" and x_tied:
-            raise DegenerateDataError(
-                "tied X values: the (n^2-1)/3 normalization does not apply, use xi_rank"
-            )
         if gamma is None:
             ordered = ordered / n  # R/n: the integer ranks are freed before the kernel sum
     if gamma is None:
@@ -533,21 +520,33 @@ def chatterjee_reference(sample: PairedSample, tie_seed: int = 0) -> Coefficient
     which without tied y is 1 - 3 * sum|R_[i+1] - R_[i]| / (n^2 - 1). As
     2 * sum_i l_i (n - l_i) = sum_{i,j} |R_i - R_j|, xi is rank power:1's
     exactly rounded ratio; zeta is the raw gap sum and the normalization
-    2 * sum_i l_i (n - l_i) / n. A constant y leaves xi undefined and raises
-    ``DegenerateDataError``. Tied x's are rejected too (use ``xi_rank``
-    there, which handles ties by construction).
+    2 * sum_i l_i (n - l_i) / n. Tied x's take ``order_by_x``'s seeded shuffle,
+    as Chatterjee breaks them uniformly at random. A constant y leaves xi
+    undefined and raises ``DegenerateDataError``.
     """
-    return _coefficient(sample, "chatterjee", None, tie_seed)[0]
+    return _coefficient(sample, "chatterjee", _CHATTERJEE_KERNEL, tie_seed)[0]
 
 
-def _check_arguments(variant: str, kernel: Kernel | None, dist: DistMap | None) -> None:
-    """Refuse what ``coefficient`` cannot compute, with the messages the test shares."""
+#: the kernel of Chatterjee's coefficient, which is rank power:1
+_CHATTERJEE_KERNEL = make_kernel("power", gamma=1.0)
+
+
+def _variant_kernel(variant: str, kernel: Kernel | None) -> Kernel | None:
+    """The kernel ``variant`` computes with: Chatterjee's power:1, else ``kernel``."""
+    return _CHATTERJEE_KERNEL if variant == "chatterjee" else kernel
+
+
+def _check_arguments(variant: str, kernel: Kernel | None, dist: DistMap | None) -> Kernel:
+    """Refuse what ``coefficient`` cannot compute, with the messages the test shares,
+    and return the kernel ``variant`` computes with (``_variant_kernel``)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if kernel is None and variant != "chatterjee":
+    kernel = _variant_kernel(variant, kernel)
+    if kernel is None:
         raise ValueError(f"{variant} variant requires a kernel")
     if variant == "plugin" and dist is None:
         raise ValueError("plugin variant requires a distribution map")
+    return kernel
 
 
 def coefficient(

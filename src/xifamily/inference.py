@@ -26,7 +26,7 @@ import numpy as np
 from ._sorting import sort_order
 from .errors import DegenerateDataError, NumericError
 from .estimator import PairedSample, _check_arguments, _coefficient, _pair_mean
-from .kernels import Kernel, make_kernel
+from .kernels import Kernel
 
 if TYPE_CHECKING:
     from .cdf import DistMap
@@ -150,11 +150,9 @@ def independence_test(
     pairwise normalization of continuous y only. Bad arguments raise the
     ``ValueError`` that ``coefficient`` raises.
     """
-    _check_arguments(variant, kernel, dist)
+    kernel = _check_arguments(variant, kernel, dist)
     if sample.n < 3:
         raise DegenerateDataError(f"need n >= 3 for variance, got n={sample.n}")
-    if variant == "chatterjee":
-        kernel = make_kernel("power", gamma=1.0)  # which coefficient ignores
     gamma = kernel.params.get("gamma")
     power = continuous_y and gamma is not None and variant != "plugin"
     power = power and gamma <= _MAX_CLOSED_FORM_GAMMA

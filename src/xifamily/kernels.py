@@ -101,6 +101,11 @@ def _require_positive_finite(value: float | None, symbol: str) -> float:
     return value
 
 
+# The eval and row-sum factories keep their last 64 results, so kernels built
+# from one spec share eval and hook, and so ``estimator._lattice_memo``'s entries.
+
+
+@functools.lru_cache(maxsize=64)
 def _power_eval(gamma: float) -> Callable:
     if gamma == 1.0:
         return lambda y, z: np.abs(np.subtract(y, z))
@@ -109,6 +114,7 @@ def _power_eval(gamma: float) -> Callable:
     return lambda y, z: np.abs(np.subtract(y, z)) ** gamma
 
 
+@functools.lru_cache(maxsize=64)
 def _exp_eval(beta: float) -> Callable:
     return lambda y, z: -np.expm1(-beta * np.abs(np.subtract(y, z)))
 
@@ -143,6 +149,7 @@ def _binomial(p: int, powers: list, sums: list) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=64)
 def _power_row_sums(gamma: int) -> Callable:
     """|u - v|^gamma for integer gamma, by binomial expansion.
 
@@ -226,6 +233,7 @@ def _exp_one_sided(v: np.ndarray, beta: float, squares: bool):
     return sums, squared
 
 
+@functools.lru_cache(maxsize=64)
 def _exp_row_sums(beta: float) -> Callable:
     def row_sums(v: np.ndarray, squares: bool):
         left = _exp_one_sided(v, beta, squares)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .cdf import DistMap, _dist_spec, resolve_dist_spec
 from .errors import DegenerateDataError, XiFamilyError
-from .estimator import PairedSample, coefficient, pearson, spearman
+from .estimator import PairedSample, _variant_kernel, coefficient, pearson, spearman
 from .kernels import Kernel, parse_kernel_spec
 
 __all__ = [
@@ -132,12 +132,11 @@ class MethodConfig:
 
     def row_label(self) -> tuple[str, str]:
         """(method, kernel) pair used as the table row identity."""
-        kernel = self.kernel.label() if self.kernel is not None else ""
+        kernel = _variant_kernel(self.variant, self.kernel)
+        label = kernel.label() if kernel is not None else ""
         if self.variant == "plugin":
-            return f"plugin[F={self.dist_spec}]", kernel
-        if self.variant == "chatterjee":
-            return "chatterjee", "power:1"
-        return self.variant, kernel
+            return f"plugin[F={self.dist_spec}]", label
+        return self.variant, label
 
 
 def parse_method_spec(spec: str) -> MethodConfig:

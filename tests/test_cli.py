@@ -494,20 +494,22 @@ def test_rank_chatterjee_constant_series_gets_nan_row(tmp_path, capsys):
     check_flat_series_gets_nan_row(tmp_path, capsys, ["--variant", "chatterjee"])
 
 
-def test_rank_chatterjee_refuses_tied_x_as_compute_does(tmp_path, capsys):
-    # the refusal concerns x, shared by every series, so no series gets a row
+def test_rank_chatterjee_scores_every_series_on_tied_x(tmp_path, capsys):
+    # tied x take the seeded shuffle, so each series scores as compute scores it
     rng = np.random.default_rng(6)
     x = rng.integers(0, 5, 30).astype(float)
-    columns = [x, rng.random(30), np.full(30, 2.0)]
-    path = write_csv(tmp_path / "tied.csv", ["x", "a", "flat"], columns)
-    assert main(["compute", "--file", path, "--x-col", "x", "--y-col", "a",
-                 "--variant", "chatterjee"]) == 3
-    expected = capsys.readouterr().err
-    assert expected.startswith("error: tied X values: ")
-    assert main(["rank", "--file", path, "--x-col", "x", "--variant", "chatterjee"]) == 3
-    captured = capsys.readouterr()
-    assert captured.err == expected
-    assert captured.out == ""
+    columns = [x, x + rng.random(30), rng.random(30).round(1), np.full(30, 2.0)]
+    path = write_csv(tmp_path / "tied.csv", ["x", "a", "b", "flat"], columns)
+    expected = {}
+    for name in ("a", "b"):
+        assert main(["compute", "--file", path, "--x-col", "x", "--y-col", name,
+                     "--variant", "chatterjee", "--seed", "4"]) == 0
+        expected[name] = parse_kv(capsys.readouterr().out)["xi"]
+    assert main(["rank", "--file", path, "--x-col", "x", "--variant", "chatterjee",
+                 "--seed", "4"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.strip().splitlines()))
+    assert {r[0]: r[1] for r in rows[1:]} == {**expected, "flat": "nan"}
+    assert [r[2] for r in rows[1:]] == ["1", "2", ""]
 
 
 @pytest.mark.parametrize(

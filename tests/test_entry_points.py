@@ -2,8 +2,7 @@
 
 The CLI, the simulation harness (``MethodConfig.evaluate``), the dispatch
 ``coefficient`` and the direct ``xi_*`` call must give bit-identical xi,
-refuse the same inputs with the same error, and reject the same unknown
-variant names.
+tied x included, and reject the same unknown variant names.
 """
 
 import csv
@@ -15,7 +14,6 @@ import pytest
 import xifamily
 from xifamily.cdf import resolve_dist_spec
 from xifamily.cli import main
-from xifamily.errors import DegenerateDataError
 from xifamily.estimator import (
     VARIANTS,
     PairedSample,
@@ -88,15 +86,6 @@ def test_entry_points_agree(tmp_path, capsys, variant, spec, tied_x):
         ),
     }
     argv = compute_argv(write_sample(tmp_path / "d.csv", sample), variant, spec)
-
-    if variant == "chatterjee" and tied_x:
-        for name, call in calls.items():
-            with pytest.raises(DegenerateDataError, match="tied X"):
-                call()
-        assert main(argv) == 3
-        assert "tied X" in capsys.readouterr().err
-        return
-
     values = {name: call() for name, call in calls.items()}
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,6 @@ from xifamily.inference import independence_test
 from xifamily.estimator import (
     PairedSample,
     _exact_gap_power,
-    _order_and_x_tied,
     _rank_gap_power_sum,
     chatterjee_reference,
     order_by_x,
@@ -568,20 +567,25 @@ def test_chatterjee_rejects_constant_y():
         chatterjee_reference(sample([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
 
 
-def test_chatterjee_rejects_tied_x():
-    s = sample([1.0, 1.0, 2.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateDataError, match="xi_rank"):
-        chatterjee_reference(s)
-
-
-@given(coordinates(min_size=2), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_order_helper_flags_tied_x(xs, tie_seed):
-    # chatterjee reads tied x off the flag of the sort order_by_x runs
-    s = sample(xs, np.zeros(xs.size))
-    permutation, x_tied = _order_and_x_tied(s, tie_seed)
-    assert np.array_equal(permutation, order_by_x(s, tie_seed))
-    assert x_tied == (np.unique(xs).size < xs.size)
+@pytest.mark.parametrize("n", [40, _sorting._PACKED_SORT_MIN + 904])
+@pytest.mark.parametrize("y_tied", [False, True])
+def test_chatterjee_is_rank_power1_on_tied_x(n, y_tied):
+    # Chatterjee breaks tied x uniformly at random, as order_by_x does from the seed
+    rng = np.random.default_rng(n)
+    xs = rng.integers(0, 10, n).astype(float)
+    ys = xs + rng.normal(size=n)
+    s = sample(xs, ys.round(0) if y_tied else ys)
+    for seed in (0, 9):
+        chatterjee, rank = chatterjee_reference(s, seed), xi_rank(s, POWER1, seed)
+        assert chatterjee.xi.hex() == rank.xi.hex()
+        assert chatterjee.y_tied == rank.y_tied == y_tied
+        for continuous in (False, True):
+            ours = independence_test(s, None, "chatterjee", tie_seed=seed, continuous_y=continuous)
+            theirs = independence_test(s, POWER1, "rank", tie_seed=seed, continuous_y=continuous)
+            assert ours.z.hex() == theirs.z.hex()
+            assert ours.sigma2_used == theirs.sigma2_used
+    with pytest.raises(DegenerateDataError, match="constant Y"):
+        chatterjee_reference(sample(xs, np.full(n, 5.0)))
 
 
 def test_chatterjee_near_zero_under_independence():

@@ -12,6 +12,7 @@ from xifamily.estimator import (
     VARIANTS,
     PairedSample,
     _fsum,
+    _lattice_memo,
     coefficient,
     ranks,
     xi_plugin,
@@ -334,6 +335,8 @@ def _counted_row_sums(monkeypatch):
     ],
 )
 def test_one_row_sum_pass_per_test(monkeypatch, variant, spec, f, continuous, passes):
+    # kernels parsed from one spec share the distinct-y memo, which an earlier case may fill
+    _lattice_memo.cache_clear()
     s = _independent_sample(500, 8)
     check_row_sum_passes(monkeypatch, s, variant, spec, f, continuous, passes)
 

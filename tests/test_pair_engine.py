@@ -52,7 +52,7 @@ from xifamily.estimator import (
     xi_rank,
 )
 from xifamily.inference import independence_test, sigma2_ustat
-from xifamily.kernels import _sorted_row_sums, custom_kernel, make_kernel
+from xifamily.kernels import _sorted_row_sums, custom_kernel, make_kernel, parse_kernel_spec
 
 CHI_REL_TOL = 1e-12
 MOMENT_REL_TOL = 1e-12
@@ -430,6 +430,15 @@ def test_lattice_memo_keeps_kernels_apart():
     assert _lattice_memo.cache_info().currsize == 2
     assert first != second
     assert second == _pair_mean(np.arange(1, 101) / 100, steep, True)
+
+
+def test_kernels_parsed_from_one_spec_share_a_memo_entry():
+    sample = PairedSample(xs=np.arange(100.0), ys=np.random.default_rng(8).random(100))
+    _lattice_memo.cache_clear()
+    first = independence_test(sample, parse_kernel_spec("exp:1"), "rank")
+    assert independence_test(sample, parse_kernel_spec("exp:1"), "rank") == first
+    assert _lattice_memo.cache_info().currsize == 1
+    assert _lattice_memo.cache_info().hits == 1
 
 
 def test_kernel_zero_off_the_diagonal_is_refused_on_every_call():

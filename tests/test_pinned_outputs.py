@@ -16,7 +16,7 @@ from pathlib import Path
 from xifamily import coefficient, empirical_map, make_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
-PINNED = "f091431944a95507712779052cbe25e719c6cecaf26fce436b1cf907720f071a"
+PINNED = "6709cf46fe291354a11abf6c1119fb44b82e29ed96f522b9409527ff8835ac55"
 
 
 def load_output_digest():

@@ -154,11 +154,10 @@ def check_ranks_in_x_order(xs, ys, seed):
     """``estimator._ranks_in_x_order`` against max-ranks by searchsorted read
     in the (x, seeded key) lexsort order, and ties counted by ``np.unique``."""
     n = xs.size
-    r_ordered, max_ranks, x_tied = estimator._ranks_in_x_order(PairedSample(xs=xs, ys=ys), seed)
+    r_ordered, max_ranks = estimator._ranks_in_x_order(PairedSample(xs=xs, ys=ys), seed)
     permutation = np.lexsort((np.random.default_rng(seed).random(n), xs))
     expected = np.searchsorted(np.sort(ys), ys, side="right")[permutation]
     assert r_ordered.dtype == np.intp and np.array_equal(r_ordered, expected)
-    assert x_tied == (np.unique(xs).size < n)
     if np.unique(ys).size < n:
         assert max_ranks.dtype == np.intp and np.array_equal(max_ranks, np.sort(expected))
     else:
@@ -250,24 +249,22 @@ def test_settle_finds_a_tie_apart_inside_a_run(start):
 
 
 def count_orderings(call):
-    """``(sort_order calls, order_by_x calls)`` made by ``call()``; an
-    ``order_by_x`` call is counted by the function that computes it."""
+    """``(sort_order calls, order_by_x calls)`` made by ``call()``."""
     counted = {"order_by_x": 0}
-    original = estimator._order_and_x_tied
+    original = estimator.order_by_x
 
     def counted_order(*args):
         counted["order_by_x"] += 1
         return original(*args)
 
-    with mock.patch.object(estimator, "_order_and_x_tied", counted_order):
+    with mock.patch.object(estimator, "order_by_x", counted_order):
         return count_sorts(call)[0], counted["order_by_x"]
 
 
 def separate_sorts(sample, tie_seed):
     """The ranks of y in x-order from one sort per coordinate and a gather."""
-    permutation, x_tied = estimator._order_and_x_tied(sample, tie_seed)
     r, max_ranks = estimator._ranked(*_sorting.sort_order(sample.ys))
-    return r[permutation], max_ranks, x_tied
+    return r[estimator.order_by_x(sample, tie_seed)], max_ranks
 
 
 def result_or_refusal(call):
