@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -348,17 +347,11 @@ def _pair_mean(v: np.ndarray, kernel: Kernel, squares: bool) -> tuple:
     return total / (n * n), totals
 
 
+@functools.lru_cache(maxsize=64)
 def _lattice_pair_mean(kernel: Kernel, n: int, squares: bool) -> tuple:
     """``_pair_mean`` on 1/n, ..., 1, the rank-based variants' u on distinct y; the last
-    64 are kept by (eval, row_sums, n, squares) and the label a refusal names, unless
-    eval is unhashable. A refusal is not kept."""
-    memo = _lattice_memo if isinstance(kernel.eval, Hashable) else _lattice_memo.__wrapped__
-    return memo(kernel.eval, kernel.row_sums, n, squares, kernel.label())
-
-
-@functools.lru_cache(maxsize=64)
-def _lattice_memo(h: Callable, row_sums: Callable | None, n: int, squares: bool, label: str):
-    return _pair_mean(np.arange(1, n + 1) / n, Kernel(label, eval=h, row_sums=row_sums), squares)
+    64 are kept by (kernel, n, squares). A refusal is not kept."""
+    return _pair_mean(np.arange(1, n + 1) / n, kernel, squares)
 
 
 def _coefficient(

@@ -18,6 +18,7 @@ large xi indicates dependence.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -121,8 +122,8 @@ def _sigma2(n: int, totals: tuple[float, float, float], source: str) -> Variance
     m = totals[0] / pairs
     q = totals[1] / pairs
     r = totals[2] / (pairs * (n - 2))
-    sigma2 = (q - 2.0 * r + m * m) / (m * m) if m * m > 0.0 else math.nan
-    if not sigma2 > 0.0:  # NaN too, from totals that overflowed or an m^2 that underflowed
+    sigma2 = (q - 2.0 * r + m * m) / (m * m) if m * m >= sys.float_info.min else math.nan
+    if not sigma2 > 0.0:  # NaN too, from totals that overflowed or an m^2 below the normal floats
         raise NumericError(
             f"variance estimate {sigma2} is not positive (m={m}, q={q}, r={r}); "
             "numerical failure or pathological sample"

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,13 +64,15 @@ _MAX_BETA = sys.float_info.max / 2
 _INTEGER_POWERS = (1.0, 2.0, 3.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """A bivariate variation function with optional analytic metadata.
 
     ``eval`` must accept scalars or numpy arrays (broadcasting) and be pure:
     identical inputs give bit-identical outputs. ``closed_form_ch`` is the
-    unit-square integral when known analytically.
+    unit-square integral when known analytically. Kernels compare by identity,
+    and the caches of C_h and of the distinct-y sums are keyed on the kernel:
+    ``make_kernel`` returns one shared object per builtin spec.
 
     ``row_sums`` is an optional exact fast path for ``_sorted_row_sums``:
     called as ``row_sums(v, squares)`` with ascending values v, it returns
@@ -101,11 +102,6 @@ def _require_positive_finite(value: float | None, symbol: str) -> float:
     return value
 
 
-# The eval and row-sum factories keep their last 64 results, so kernels built
-# from one spec share eval and hook, and so ``estimator._lattice_memo``'s entries.
-
-
-@functools.lru_cache(maxsize=64)
 def _power_eval(gamma: float) -> Callable:
     if gamma == 1.0:
         return lambda y, z: np.abs(np.subtract(y, z))
@@ -114,7 +110,6 @@ def _power_eval(gamma: float) -> Callable:
     return lambda y, z: np.abs(np.subtract(y, z)) ** gamma
 
 
-@functools.lru_cache(maxsize=64)
 def _exp_eval(beta: float) -> Callable:
     return lambda y, z: -np.expm1(-beta * np.abs(np.subtract(y, z)))
 
@@ -149,7 +144,6 @@ def _binomial(p: int, powers: list, sums: list) -> np.ndarray:
     return total
 
 
-@functools.lru_cache(maxsize=64)
 def _power_row_sums(gamma: int) -> Callable:
     """|u - v|^gamma for integer gamma, by binomial expansion.
 
@@ -233,7 +227,6 @@ def _exp_one_sided(v: np.ndarray, beta: float, squares: bool):
     return sums, squared
 
 
-@functools.lru_cache(maxsize=64)
 def _exp_row_sums(beta: float) -> Callable:
     def row_sums(v: np.ndarray, squares: bool):
         left = _exp_one_sided(v, beta, squares)
@@ -268,13 +261,20 @@ _PARAMETERS = {"power": ("gamma",), "exp": ("beta",), "expsq": ()}
 
 
 def make_kernel(name: str, **params) -> Kernel:
-    """A builtin kernel: ``power`` (gamma > 0), ``exp`` (beta > 0) or ``expsq``;
-    a parameter that is missing or outside its domain raises ValueError."""
+    """One shared builtin kernel per spec: ``power`` (gamma > 0), ``exp`` (beta > 0)
+    or ``expsq``; a parameter missing or outside its domain raises ValueError."""
     if name not in _PARAMETERS:
         raise ValueError(f"unknown kernel {name!r}; expected power, exp or expsq")
-    values = [_require_positive_finite(params.pop(s, None), s) for s in _PARAMETERS[name]]
+    values = tuple(_require_positive_finite(params.pop(s, None), s) for s in _PARAMETERS[name])
     if params:
         raise ValueError(f"unexpected {name}-kernel parameters: {sorted(params)}")
+    if name == "exp" and values[0] > _MAX_BETA:
+        raise ValueError(f"beta must be at most {_MAX_BETA:g}, got {values[0]!r}")
+    return _builtin(name, values)
+
+
+@functools.lru_cache(maxsize=64)
+def _builtin(name: str, values: tuple) -> Kernel:
     if name == "power":
         (gamma,) = values
         return Kernel(
@@ -286,8 +286,6 @@ def make_kernel(name: str, **params) -> Kernel:
         )
     if name == "exp":
         (beta,) = values
-        if beta > _MAX_BETA:
-            raise ValueError(f"beta must be at most {_MAX_BETA:g}, got {beta!r}")
         return Kernel(
             name="exp",
             params={"beta": beta},
@@ -313,7 +311,8 @@ def custom_kernel(
 
     ``fn`` must be vectorized over numpy arrays. Nonnegativity, symmetry and
     a zero diagonal are checked on a 101x101 grid to 1e-12 rather than
-    trusted; violations raise ValueError.
+    trusted; violations raise ValueError, as does a ``closed_form_ch`` that is
+    not positive and finite.
     """
     grid = np.linspace(0.0, 1.0, _VALIDATION_GRID)
     try:
@@ -332,11 +331,9 @@ def custom_kernel(
     asym = np.max(np.abs(values - values.T))
     if asym > _VALIDATION_TOL:
         raise ValueError(f"kernel {name!r} is asymmetric (max gap {asym})")
-    return Kernel(
-        name=name,
-        eval=fn,
-        closed_form_ch=closed_form_ch,
-    )
+    if closed_form_ch is not None:
+        closed_form_ch = _require_positive_finite(closed_form_ch, "closed_form_ch")
+    return Kernel(name=name, eval=fn, closed_form_ch=closed_form_ch)
 
 
 def parse_kernel_spec(spec: str) -> Kernel:
@@ -447,21 +444,15 @@ def _sorted_row_sums(v: np.ndarray, kernel: Kernel, squares: bool = False):
 
 
 def normalization_constant(kernel: Kernel) -> float:
-    """Unit-square integral C_h of a kernel.
-
-    Returns the closed form when the kernel carries one, otherwise computes
-    it numerically to ``_QUADRATURE_TOL`` once per kernel ``eval``: the last
-    64 results are kept, a failure is not. Positive for every non-constant
-    builtin kernel.
-    """
+    """Unit-square integral C_h of a kernel: its closed form, else quadrature to
+    ``_QUADRATURE_TOL`` once per kernel object (one shared per builtin spec); the
+    last 64 are kept, a failure is not. Positive for non-constant builtin kernels."""
     if kernel.closed_form_ch is not None:
         return kernel.closed_form_ch
-    if not isinstance(kernel.eval, Hashable):  # a callable object that defines __eq__ alone
-        return integrate_unit_square(kernel.eval, _QUADRATURE_TOL)
-    return _integrated(kernel.eval)
+    return _integrated(kernel)
 
 
 @functools.lru_cache(maxsize=64)
-def _integrated(fn: Callable) -> float:
-    """``integrate_unit_square(fn, _QUADRATURE_TOL)``, looked up by name on every miss."""
-    return integrate_unit_square(fn, _QUADRATURE_TOL)
+def _integrated(kernel: Kernel) -> float:
+    """``integrate_unit_square(kernel.eval, _QUADRATURE_TOL)``, looked up by name on every miss."""
+    return integrate_unit_square(kernel.eval, _QUADRATURE_TOL)

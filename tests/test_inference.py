@@ -12,7 +12,7 @@ from xifamily.estimator import (
     VARIANTS,
     PairedSample,
     _fsum,
-    _lattice_memo,
+    _lattice_pair_mean,
     coefficient,
     ranks,
     xi_plugin,
@@ -116,6 +116,13 @@ def test_underflowing_variance_is_refused():
     ys = 1e-60 * np.random.default_rng(10).random(50)
     with pytest.raises(NumericError, match="variance estimate nan is not positive"):
         sigma2_ustat(ys, POWER3, uniform_map(0.0, 1.0))
+    # exp:1e-160 gives m = 3.35e-161, whose square is subnormal: sigma2 read
+    # 0.396476, against 0.397015 under exp:1e-100 and power:1
+    rng = np.random.default_rng(0)
+    x = rng.random(200)
+    s = PairedSample(xs=x, ys=np.sin(6.0 * x) + rng.normal(size=200))
+    with pytest.raises(NumericError, match="variance estimate nan is not positive"):
+        independence_test(s, parse_kernel_spec("exp:1e-160"), "rank")
 
 
 def test_ustat_sigma2_consistent_with_components():
@@ -336,7 +343,7 @@ def _counted_row_sums(monkeypatch):
 )
 def test_one_row_sum_pass_per_test(monkeypatch, variant, spec, f, continuous, passes):
     # kernels parsed from one spec share the distinct-y memo, which an earlier case may fill
-    _lattice_memo.cache_clear()
+    _lattice_pair_mean.cache_clear()
     s = _independent_sample(500, 8)
     check_row_sum_passes(monkeypatch, s, variant, spec, f, continuous, passes)
 

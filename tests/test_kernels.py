@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xifamily import kernels
+from xifamily import estimator, kernels
 from xifamily.errors import QuadratureError
 from xifamily.estimator import PairedSample, xi_simplified
 from xifamily.inference import independence_test
@@ -219,6 +219,27 @@ def test_unhashable_custom_kernel_still_integrates():
 
     k = custom_kernel("gap", Gap(1.0))
     assert normalization_constant(k) == pytest.approx(1.0 / 3.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("ch", [math.nan, math.inf, 0.0, -1.0, "one"])
+def test_custom_kernel_rejects_a_bad_closed_form(ch):
+    # nan gave xi = NaN, and inf xi = 1.0 (z = 11.35) on independent data
+    with pytest.raises(ValueError):
+        custom_kernel("gap", lambda y, z: np.abs(y - z), closed_form_ch=ch)
+
+
+def test_one_kernel_per_builtin_spec():
+    for spec in ["power:0.5", "power:1", "power:2", "power:3", "exp:1", "exp:1e-3", "expsq"]:
+        assert parse_kernel_spec(spec) is parse_kernel_spec(spec)
+    assert parse_kernel_spec("exp:0.5") is make_kernel("exp", beta=0.5)
+    assert make_kernel("power", gamma=1) is estimator._CHATTERJEE_KERNEL
+
+    def gap(y, z):
+        return np.abs(y - z)
+
+    # a custom kernel is its own cache key, whatever its eval
+    first, second = custom_kernel("gap", gap), custom_kernel("gap", gap)
+    assert first != second and len({first, second}) == 2
 
 
 def test_custom_kernel_rejects_asymmetric():

@@ -42,7 +42,6 @@ from xifamily.estimator import (
     _LEVELS,
     PairedSample,
     _fsum,
-    _lattice_memo,
     _lattice_pair_mean,
     _mid_ranks,
     _pair_mean,
@@ -423,37 +422,37 @@ def test_lattice_memo_keeps_pair_mean_bits(kernel):
 
 
 def test_lattice_memo_keeps_kernels_apart():
-    _lattice_memo.cache_clear()
+    _lattice_pair_mean.cache_clear()
     gentle, steep = make_kernel("exp", beta=1.0), make_kernel("exp", beta=2.0)
     first = _lattice_pair_mean(gentle, 100, True)
     second = _lattice_pair_mean(steep, 100, True)
-    assert _lattice_memo.cache_info().currsize == 2
+    assert _lattice_pair_mean.cache_info().currsize == 2
     assert first != second
     assert second == _pair_mean(np.arange(1, 101) / 100, steep, True)
 
 
 def test_kernels_parsed_from_one_spec_share_a_memo_entry():
     sample = PairedSample(xs=np.arange(100.0), ys=np.random.default_rng(8).random(100))
-    _lattice_memo.cache_clear()
+    _lattice_pair_mean.cache_clear()
     first = independence_test(sample, parse_kernel_spec("exp:1"), "rank")
     assert independence_test(sample, parse_kernel_spec("exp:1"), "rank") == first
-    assert _lattice_memo.cache_info().currsize == 1
-    assert _lattice_memo.cache_info().hits == 1
+    assert _lattice_pair_mean.cache_info().currsize == 1
+    assert _lattice_pair_mean.cache_info().hits == 1
 
 
 def test_kernel_zero_off_the_diagonal_is_refused_on_every_call():
     zero = custom_kernel("zero", lambda y, z: np.zeros(np.broadcast(y, z).shape))
     sample = PairedSample(xs=np.arange(20.0), ys=np.random.default_rng(4).random(20))
-    _lattice_memo.cache_clear()
+    _lattice_pair_mean.cache_clear()
     for _ in range(2):
         with pytest.raises(DegenerateDataError, match="kernel zero is 0"):
             xi_rank(sample, zero)
         with pytest.raises(DegenerateDataError, match="kernel zero is 0"):
             independence_test(sample, zero, "rank")
-    assert _lattice_memo.cache_info().currsize == 0
+    assert _lattice_pair_mean.cache_info().currsize == 0
 
 
-def test_unhashable_eval_takes_the_lattice_uncached():
+def test_unhashable_eval_is_memoized_by_its_kernel():
     class Gap:  # __eq__ alone leaves instances unhashable
         def __eq__(self, other):
             return isinstance(other, Gap)
@@ -463,9 +462,9 @@ def test_unhashable_eval_takes_the_lattice_uncached():
 
     sample = PairedSample(xs=np.arange(40.0), ys=np.random.default_rng(6).random(40))
     hashable = custom_kernel("gap", lambda y, z: np.abs(np.subtract(y, z)) ** 1.5)
-    _lattice_memo.cache_clear()
+    _lattice_pair_mean.cache_clear()
     got = independence_test(sample, custom_kernel("gap", Gap()), "rank")
-    assert _lattice_memo.cache_info().currsize == 0
+    assert _lattice_pair_mean.cache_info().currsize == 1
     assert got == independence_test(sample, hashable, "rank")
 
 
